@@ -13,6 +13,7 @@ bytes on every platform.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, replace
 from decimal import Decimal
@@ -65,9 +66,14 @@ class PricePath:
     def from_pairs(cls, pairs: Iterable[tuple[int, Numeric]]) -> "PricePath":
         return cls(tuple(PricePoint(int(t), Price(to_decimal(v))) for t, v in pairs))
 
+    @functools.cached_property
+    def _stamps(self) -> tuple[int, ...]:
+        """Every point's timestamp, built once per path."""
+        return tuple(pt.timestamp for pt in self.points)
+
     def index_at_or_after(self, timestamp: int) -> int:
         """Index of the first point with timestamp >= the argument."""
-        stamps = [pt.timestamp for pt in self.points]
+        stamps = self._stamps
         i = bisect.bisect_left(stamps, timestamp)
         if i == len(self.points):
             raise PathRangeError(

@@ -27,6 +27,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from enum import Enum
@@ -148,6 +149,10 @@ class EventResult:
     price_decline: Decimal | None
 
 
+#: Fixed-point scale of the integer sum that brackets a DistSummary mean.
+_MEAN_SCALE = 10**100
+
+
 @dataclass(frozen=True)
 class DistSummary:
     """Order statistics of a sample; infinities counted separately."""
@@ -163,20 +168,40 @@ class DistSummary:
 
     @classmethod
     def from_values(cls, values: Sequence[Fraction | float]) -> "DistSummary":
+        """Summarize exact values; float infinities are only counted.
+
+        The mean is the exact mean rounded to the report grid, but it is
+        not summed as Fractions: their denominators differ, so the running
+        sum's denominator grows with every term and n values cost O(n^2).
+        Instead each value is floored to 100 fractional digits and the
+        integer floors are summed, which brackets the exact mean within
+        1e-100. Both ends of the bracket are rounded with the same monotone
+        rounding as the exact mean; only when they round differently (the
+        bracket straddles a rounding boundary) is the exact Fraction sum
+        taken.
+        """
         finite = sorted(v for v in values if not (isinstance(v, float) and math.isinf(v)))
         inf_count = len(values) - len(finite)
         if not finite:
             return cls(len(values), inf_count, None, None, None, None, None, None)
 
+        n = len(finite)
+
         def _rank(q: Fraction) -> Fraction:
-            idx = max(0, math.ceil(q * len(finite)) - 1)
+            idx = max(0, math.ceil(q * n) - 1)
             return finite[idx]
 
-        mean = sum(finite, Fraction(0)) / len(finite)
+        # Each floor(v * 10**100) lies in (v * 10**100 - 1, v * 10**100], so
+        # the exact mean lies in [S, S + n) / (n * 10**100). Rounding is
+        # monotone: when both ends round alike, so does the mean.
+        floor_sum = sum(v.numerator * _MEAN_SCALE // v.denominator for v in finite)
+        mean = _fraction_to_decimal(Fraction(floor_sum, n * _MEAN_SCALE))
+        if mean != _fraction_to_decimal(Fraction(floor_sum + n, n * _MEAN_SCALE)):
+            mean = _fraction_to_decimal(sum(finite, Fraction(0)) / n)
         return cls(
             count=len(values),
             infinite_count=inf_count,
-            mean=_fraction_to_decimal(mean),
+            mean=mean,
             minimum=_fraction_to_decimal(finite[0]),
             p25=_fraction_to_decimal(_rank(Fraction(1, 4))),
             p50=_fraction_to_decimal(_rank(Fraction(1, 2))),
@@ -410,15 +435,104 @@ def path_volatility(path: PricePath) -> float:
     return historical_volatility(path, periods_per_year)
 
 
-def run_scenario(scenario: Scenario) -> MetricsReport:
+@dataclass(frozen=True)
+class TriggerFacts:
+    """The part of a replay that neither the premium factor nor the term
+    changes: each event's health factor at its trigger, the summaries of
+    those and of the health factors after a maximal liquidation there, the
+    share healthy after that liquidation, and the release if every event
+    were liquidated at its trigger. It depends only on the events, the
+    path and the FSL parameters, so a sweep computes it once and shares it
+    between cells.
+
+    The lists stop before the first event that fails its trigger check.
+    That event's error is kept and raised when a replay reaches the event,
+    so a replay fails at the same event, with the same error, as one that
+    checks each trigger as it goes.
+    """
+
+    hf_pre: list[Fraction]
+    hf_pre_summary: DistSummary
+    hf_post_fsl_summary: DistSummary
+    healthy_fraction_fsl: Decimal
+    baseline_release: Decimal
+    error: ScenarioError | None = None
+
+
+@contextmanager
+def _event_errors(idx: int):
+    """Re-raise module errors as ScenarioError with the event index attached."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except MiqadoError as exc:
+        raise ScenarioError(idx, str(exc)) from exc
+
+
+def trigger_facts(s: Scenario) -> TriggerFacts:
+    """Check each event's trigger and compute the scenario's TriggerFacts."""
+    hf_pre: list[Fraction] = []
+    hf_post_fsl: list[Fraction | float] = []
+    released: list[Decimal] = []
+    error = None
+    for idx, ev in enumerate(s.events):
+        try:
+            with _event_errors(idx):
+                hf, hf_fsl, release = _trigger(idx, ev, s)
+        except ScenarioError as exc:
+            error = exc
+            break
+        hf_pre.append(hf)
+        hf_post_fsl.append(hf_fsl)
+        released.append(release)
+    n = len(hf_post_fsl)
+    healthy_fsl = Fraction(sum(1 for v in hf_post_fsl if v >= 1), n) if n else Fraction(0)
+    return TriggerFacts(
+        hf_pre=hf_pre,
+        hf_pre_summary=DistSummary.from_values(hf_pre),
+        hf_post_fsl_summary=DistSummary.from_values(hf_post_fsl),
+        healthy_fraction_fsl=_fraction_to_decimal(healthy_fsl),
+        baseline_release=_sum(released),
+        error=error,
+    )
+
+
+def _trigger(
+    idx: int, ev: LiquidationEvent, s: Scenario
+) -> tuple[Fraction, Fraction | float, Decimal]:
+    """Health factor at the trigger (which must be below one), health
+    factor after a maximal liquidation there, and that liquidation's
+    release: the counterfactual if the event were liquidated immediately."""
+    if not 0 <= ev.path_offset < len(s.path):
+        raise ScenarioError(idx, f"path_offset {ev.path_offset} outside path")
+    p0 = s.path[ev.path_offset].price
+    hf_pre = health_factor(ev.position, p0, s.fsl.theta)
+    if hf_pre >= 1:
+        raise ScenarioError(
+            idx, f"health factor {float(hf_pre):.6f} at offset {ev.path_offset} is not below one"
+        )
+    hf_fsl = fsl_post_health_factor(ev.position, p0, s.fsl)
+    pos = copy.copy(ev.position)
+    out = execute_fsl(pos, p0, s.fsl, _max_repay(pos, s.fsl))
+    with ledger_context():
+        release = out.collateral_seized.value * p0.value
+    return hf_pre, hf_fsl, release
+
+
+def run_scenario(scenario: Scenario, facts: TriggerFacts | None = None) -> MetricsReport:
     """Replay every event independently under the scenario regime.
 
     Pure with respect to its argument: positions and pools are copied
     before any mutation. Module errors raised while processing an event
     are re-raised as ScenarioError with the event index attached.
+    `facts` must be `trigger_facts` of a scenario with the same events,
+    path and FSL parameters; a sweep passes them so that every cell
+    shares them. They are computed here when not given.
     """
     s = scenario
-    theta = s.fsl.theta
+    if facts is None:
+        facts = trigger_facts(s)
     # The engagement-window formula follows the regime, not whatever mode
     # the params happened to carry.
     params = replace(
@@ -431,22 +545,13 @@ def run_scenario(scenario: Scenario) -> MetricsReport:
         sigma = s.sigma_override if s.sigma_override is not None else path_volatility(s.path)
 
     results: list[EventResult] = []
-    hf_pre_values: list[Fraction] = []
-    hf_post_fsl_values: list[Fraction | float] = []
-    hf_post_miq_values: list[Fraction] = []
-    lam = Fraction(params.premium_factor)
-
     for idx, ev in enumerate(s.events):
-        try:
-            result, hf_pre, hf_fsl = _run_event(idx, ev, s, params, sigma)
-        except ScenarioError:
-            raise
-        except MiqadoError as exc:
-            raise ScenarioError(idx, str(exc)) from exc
-        results.append(result)
-        hf_pre_values.append(hf_pre)
-        hf_post_fsl_values.append(hf_fsl)
-        hf_post_miq_values.append(hf_pre * (1 + lam))
+        if idx == len(facts.hf_pre):
+            raise facts.error
+        with _event_errors(idx):
+            results.append(_run_event(idx, ev, s, params, sigma, facts.hf_pre[idx]))
+    lam = Fraction(params.premium_factor)
+    hf_post_miq_values = [hf * (1 + lam) for hf in facts.hf_pre]
 
     class_counts: dict[str, int] = {}
     for r in results:
@@ -454,17 +559,13 @@ def run_scenario(scenario: Scenario) -> MetricsReport:
 
     release = _sum(r.release_usd for r in results)
     restraint = _sum(r.restraint_usd for r in results)
-    baseline = _baseline_release(s)
+    baseline = facts.baseline_release
     reduction: Decimal | None = None
     if baseline > 0:
         with ledger_context():
             reduction = 1 - release / baseline
 
     n = len(results)
-    healthy_fsl = Fraction(
-        sum(1 for v in hf_post_fsl_values if (isinstance(v, float) and math.isinf(v)) or v >= 1),
-        n,
-    ) if n else Fraction(0)
     healthy_miq = Fraction(sum(1 for v in hf_post_miq_values if v >= 1), n) if n else Fraction(0)
 
     classified = [
@@ -482,30 +583,15 @@ def run_scenario(scenario: Scenario) -> MetricsReport:
         collateral_restraint_usd=restraint,
         fsl_baseline_release_usd=baseline,
         release_reduction=reduction,
-        hf_pre=DistSummary.from_values(hf_pre_values),
-        hf_post_fsl=DistSummary.from_values(hf_post_fsl_values),
+        hf_pre=facts.hf_pre_summary,
+        hf_post_fsl=facts.hf_post_fsl_summary,
         hf_post_miqado=DistSummary.from_values(hf_post_miq_values),
-        healthy_fraction_fsl=_fraction_to_decimal(healthy_fsl),
+        healthy_fraction_fsl=facts.healthy_fraction_fsl,
         healthy_fraction_miqado=_fraction_to_decimal(healthy_miq),
         payoff_rows=[] if row is None else [row],
         price_declines=[r.price_decline for r in results if r.price_decline is not None],
         results=results,
     )
-
-
-def _baseline_release(s: Scenario) -> Decimal:
-    """Counterfactual release if every event were liquidated immediately."""
-    parts: list[Decimal] = []
-    for idx, ev in enumerate(s.events):
-        pos = copy.deepcopy(ev.position)
-        p0 = s.path[ev.path_offset].price
-        try:
-            out = execute_fsl(pos, p0, s.fsl, _max_repay(pos, s.fsl))
-        except MiqadoError as exc:
-            raise ScenarioError(idx, str(exc)) from exc
-        with ledger_context():
-            parts.append(out.collateral_seized.value * p0.value)
-    return _sum(parts)
 
 
 def _run_event(
@@ -514,20 +600,22 @@ def _run_event(
     s: Scenario,
     params: MiqadoParams,
     sigma: float,
-) -> tuple[EventResult, Fraction, Fraction | float]:
-    if not 0 <= ev.path_offset < len(s.path):
-        raise ScenarioError(idx, f"path_offset {ev.path_offset} outside path")
+    hf_pre: Fraction,
+) -> EventResult:
+    """Replay one event of one cell from its trigger, already checked.
+
+    Rescue scan: between initiation and maturity the position's debt D
+    and topped-up collateral C do not change, so its health factor
+    C * p * theta / D reaches the borrower's threshold h exactly when the
+    price p reaches the bound h * D / (C * theta). The bound is computed
+    once per event and cell as an exact Fraction (see `_rescue_bound`),
+    and each path point is tested with one exact Decimal-to-Fraction
+    comparison instead of a health factor.
+    """
     point = s.path[ev.path_offset]
     p0, t0 = point.price, point.timestamp
-    pos = copy.deepcopy(ev.position)
+    pos = copy.copy(ev.position)
     theta = s.fsl.theta
-
-    hf_pre = health_factor(pos, p0, theta)
-    if hf_pre >= 1:
-        raise ScenarioError(
-            idx, f"health factor {float(hf_pre):.6f} at offset {ev.path_offset} is not below one"
-        )
-    hf_fsl = fsl_post_health_factor(pos, p0, s.fsl)
 
     def fsl_here(price: Price, klass: str, session=None, settlement=None, restraint=Decimal(0)):
         out = execute_fsl(pos, price, s.fsl, _max_repay(pos, s.fsl))
@@ -551,7 +639,7 @@ def _run_event(
         )
 
     if s.regime is Regime.FSL_ONLY:
-        return fsl_here(p0, CLASS_FSL), hf_pre, hf_fsl
+        return fsl_here(p0, CLASS_FSL)
 
     def no_action(klass: str) -> EventResult:
         return EventResult(
@@ -570,42 +658,39 @@ def _run_event(
 
     if not can_initiate(pos, p0, theta, params):
         if s.regime is Regime.HYBRID:
-            return fsl_here(p0, CLASS_INELIGIBLE), hf_pre, hf_fsl
-        return no_action(CLASS_INELIGIBLE), hf_pre, hf_fsl
+            return fsl_here(p0, CLASS_INELIGIBLE)
+        return no_action(CLASS_INELIGIBLE)
 
     if s.supporter_gate and not supporter_decision(
         pos, p0, theta, params, sigma, s.foreign_rate
     ):
         if s.regime is Regime.HYBRID:
-            return fsl_here(p0, CLASS_DECLINED), hf_pre, hf_fsl
-        return no_action(CLASS_DECLINED), hf_pre, hf_fsl
+            return fsl_here(p0, CLASS_DECLINED)
+        return no_action(CLASS_DECLINED)
 
     session = initiate(pos, p0, theta, params, t0)
     restraint = session.premium_value.value
     maturity_idx = s.path.index_at_or_after(t0 + params.term_seconds)
 
-    if params.rescue_above_hf is not None:
-        threshold = Fraction(params.rescue_above_hf)
+    rescue_hf = params.rescue_above_hf
+    bound = None if rescue_hf is None else _rescue_bound(pos, theta, Fraction(rescue_hf))
+    if bound is not None:
         for i in range(ev.path_offset + 1, maturity_idx):
             pt = s.path[i]
-            if health_factor(pos, pt.price, theta) >= threshold:
+            if pt.price.value >= bound:
                 outcome = terminate(session, pos, pt.price, pt.timestamp, params)
-                return (
-                    EventResult(
-                        index=idx,
-                        position_id=ev.position.id,
-                        outcome_class=CLASS_TERMINATED,
-                        hf_pre=hf_pre,
-                        settlement=outcome,
-                        fsl_outcome=None,
-                        fsl_price=None,
-                        session=session,
-                        release_usd=Decimal(0),
-                        restraint_usd=restraint,
-                        price_decline=None,
-                    ),
-                    hf_pre,
-                    hf_fsl,
+                return EventResult(
+                    index=idx,
+                    position_id=ev.position.id,
+                    outcome_class=CLASS_TERMINATED,
+                    hf_pre=hf_pre,
+                    settlement=outcome,
+                    fsl_outcome=None,
+                    fsl_price=None,
+                    session=session,
+                    release_usd=Decimal(0),
+                    restraint_usd=restraint,
+                    price_decline=None,
                 )
 
     maturity_point = s.path[maturity_idx]
@@ -615,25 +700,34 @@ def _run_event(
     if outcome.state is SessionState.DEFAULTED and s.regime is Regime.HYBRID:
         return fsl_here(
             maturity_point.price, klass, session=session, settlement=outcome, restraint=restraint
-        ), hf_pre, hf_fsl
+        )
 
-    return (
-        EventResult(
-            index=idx,
-            position_id=ev.position.id,
-            outcome_class=klass,
-            hf_pre=hf_pre,
-            settlement=outcome,
-            fsl_outcome=None,
-            fsl_price=None,
-            session=session,
-            release_usd=Decimal(0),
-            restraint_usd=restraint,
-            price_decline=None,
-        ),
-        hf_pre,
-        hf_fsl,
+    return EventResult(
+        index=idx,
+        position_id=ev.position.id,
+        outcome_class=klass,
+        hf_pre=hf_pre,
+        settlement=outcome,
+        fsl_outcome=None,
+        fsl_price=None,
+        session=session,
+        release_usd=Decimal(0),
+        restraint_usd=restraint,
+        price_decline=None,
     )
+
+
+def _rescue_bound(
+    pos: BorrowingPosition, theta: Decimal, threshold: Fraction
+) -> Fraction | None:
+    """Price bound of the rescue test: the position's health factor is at
+    least `threshold` exactly at the prices at or above the bound, or at
+    none when the bound is None."""
+    scale = Fraction(pos.collateral.value) * Fraction(theta)
+    if scale:
+        return threshold * Fraction(pos.debt.value) / scale
+    # No collateral: the health factor is zero at every price.
+    return Fraction(0) if threshold <= 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +768,11 @@ def run_sweep(
     base: Scenario, premium_factors: Sequence[Numeric], terms_seconds: Sequence[int]
 ) -> SweepResult:
     """Run the scenario once per sweep cell (term-major, like a payoff
-    table is usually read)."""
+    table is usually read). The trigger facts, which no cell changes, are
+    computed once and shared by every cell."""
     if not premium_factors or not terms_seconds:
         raise ValueError("sweep grids must be non-empty")
+    facts = trigger_facts(base)
     cells = []
     for term in terms_seconds:
         for lam in premium_factors:
@@ -684,7 +780,7 @@ def run_sweep(
             scenario = replace(
                 base, miqado=replace(base.miqado, premium_factor=lam_dec, term_seconds=term)
             )
-            cells.append((lam_dec, term, run_scenario(scenario)))
+            cells.append((lam_dec, term, run_scenario(scenario, facts)))
     return SweepResult(regime=base.regime, cells=cells)
 
 

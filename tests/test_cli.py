@@ -1,5 +1,6 @@
 """CLI behavior: flag parsing, output formats, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -13,6 +14,14 @@ from miqado.cli import main
 from miqado.market import load_price_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+#: sha256 of each `simulate` output for config_sweep.json.
+SWEEP_DIGESTS = {
+    "report.json": "f3dfe815c1b70978d5f430e0e30472ddacb3b21c5ef94dea050a515d1db2ca2a",
+    "payoff_table.csv": "b7ff88494039f1a242628ca3fb37065f8e4bc04cb66d5a22722b32fcbe583a50",
+    "metrics.csv": "0e9628ca173cd5a34dc3820e3f7a88ee3304c1a72c7d655b6b24efdfc2af4c3b",
+    "outcomes.csv": "78f075a2432b9b1d24fee75fdb60e06ba869e858c96d6696bd29062ad24a7c89",
+}
 
 # Frozen Monte-Carlo oracle value for (100, 100, r=0.05, rf=0, sigma=0.2, T=1).
 MC_ATM_CALL = 10.452096058627289
@@ -122,6 +131,17 @@ class TestSimulate:
         assert got == golden
         for name in ("payoff_table.csv", "metrics.csv", "outcomes.csv"):
             assert (tmp_path / name).exists()
+
+    def test_synthetic_sweep_pinned_digests(self, capsys, tmp_path):
+        # The 15-cell GBM sweep has no golden file; its four outputs are
+        # pinned by sha256 so that any change to its bytes fails here.
+        code, _, _ = run_cli(
+            capsys, "simulate", "--config", str(FIXTURES / "config_sweep.json"),
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        for name, digest in SWEEP_DIGESTS.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     def test_same_seed_byte_identical(self, capsys, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -4,20 +4,25 @@ The fixtures here are small enough that every expected number was worked
 out by hand from the mechanism definitions before the engine ran them.
 """
 
+import math
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from miqado.core import Amount, BorrowingPosition, FslParams, Price
+from miqado.core import Amount, BorrowingPosition, FslParams, Price, health_factor
 from miqado.errors import (
     CsvFormatError,
     ScenarioError,
     UndefinedReductionError,
 )
-from miqado.market import CpAmmPool, PricePath
+from miqado.market import CpAmmPool, GbmParams, PricePath, generate_gbm, load_price_csv
 from miqado.protocol import MiqadoParams, SessionState, SettlementOutcome
 from miqado.sim import (
+    DistSummary,
     LiquidationEvent,
     Regime,
     Scenario,
@@ -30,6 +35,7 @@ from miqado.sim import (
     report_to_json,
     run_scenario,
     run_sweep,
+    _fraction_to_decimal,
     serialize_events_csv,
     synthesize_events,
 )
@@ -554,3 +560,188 @@ class TestSynthesizeEvents:
         path = PricePath.from_pairs([(i * HOUR, "100") for i in range(60)])
         with pytest.raises(ValueError):
             synthesize_events(path, "0.8", count=1, seed=0, hf_band=("0.9", "1.1"))
+
+
+class TestDistSummaryMean:
+    """The mean is bracketed with integer floors; it must equal the exact
+    Fraction mean rounded to the report grid for every input."""
+
+    @staticmethod
+    def exact_mean(values):
+        return _fraction_to_decimal(sum(values, Fraction(0)) / len(values))
+
+    @staticmethod
+    def bracket_ends(values):
+        # The two rounded ends of the integer-floor bracket of the mean.
+        n = len(values)
+        floor_sum = sum(v.numerator * 10**100 // v.denominator for v in values)
+        return {_fraction_to_decimal(Fraction(floor_sum + i * n, n * 10**100)) for i in (0, 1)}
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(10**69, 2 * 10**80), st.integers(10**70, 10**80)),
+            min_size=1,
+            max_size=40,
+            unique_by=lambda nd: nd[1],
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exact_mean(self, pairs):
+        # Health-factor-like values near one, each with its own large
+        # denominator, as C * p * theta / D gives them.
+        values = [Fraction(n, d) for n, d in pairs]
+        assert DistSummary.from_values(values).mean == self.exact_mean(values)
+
+    @given(st.integers(0, 10**6), st.integers(1, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_half_quantum_ties(self, k, n):
+        # Every value, hence the mean, sits exactly on a half-quantum tie.
+        values = [Fraction(2 * k + 1, 2 * 10**18)] * n
+        assert DistSummary.from_values(values).mean == self.exact_mean(values)
+
+    @pytest.mark.parametrize("numerator, expected", [(1, "0E-18"), (3, "2E-18")])
+    def test_explicit_ties_round_half_even(self, numerator, expected):
+        # The mean sits exactly on a half-quantum tie and rounds half-even.
+        # The bracket's upper end lies 1e-100 above the tie, below the
+        # 80-digit precision at which the rounding first divides, so both
+        # ends already round like the exact mean.
+        values = [Fraction(numerator, 2 * 10**18)]
+        assert self.bracket_ends(values) == {Decimal(expected)}
+        assert str(DistSummary.from_values(values).mean) == expected
+
+    # An 80-digit half-step just below the report-grid tie 1.0...0015:
+    # means below it round to ...001, means at or above it to ...002.
+    STEP = Fraction(Decimal("1.0000000000000000015")) - Fraction(5, 10**80)
+    UNIT = Fraction(1, 10**100)
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([STEP - UNIT / 10**20], "1.000000000000000001"),
+            ([STEP + UNIT * 6 / 10, STEP - UNIT * 4 / 10], "1.000000000000000002"),
+        ],
+    )
+    def test_undecided_bracket_falls_back_to_exact_sum(self, values, expected):
+        assert self.bracket_ends(values) == {
+            Decimal("1.000000000000000001"),
+            Decimal("1.000000000000000002"),
+        }
+        assert DistSummary.from_values(values).mean == Decimal(expected)
+        assert DistSummary.from_values(values).mean == self.exact_mean(values)
+
+    def test_infinities_are_only_counted(self):
+        summary = DistSummary.from_values([Fraction(1, 3), math.inf, Fraction(2, 3)])
+        assert summary.count == 3
+        assert summary.infinite_count == 1
+        assert summary.mean == Decimal("0.5")
+
+
+def gated_rescue_scenario(regime=Regime.HYBRID):
+    path = generate_gbm(
+        GbmParams(p0=Price(Decimal(100)), mu=0.0, sigma=2.0, dt=1 / 525_600, steps=400, seed=5)
+    )
+    pool = CpAmmPool(
+        reserve_quote=Decimal("10000000"), reserve_base=Decimal("100000"), fee=Decimal("0.003")
+    )
+    return Scenario(
+        events=synthesize_events(
+            path, FSL.theta, count=12, seed=3, max_term_seconds=3 * HOUR, amm_pool=pool
+        ),
+        path=path,
+        fsl=FSL,
+        miqado=miq(rescue_above_hf=Decimal("1.0")),
+        regime=regime,
+        sold_fraction=Decimal("0.95"),
+        supporter_gate=True,
+    )
+
+
+class TestSweepSharesTriggerFacts:
+    """A sweep computes the trigger facts once for all cells; every cell
+    must still equal a standalone replay of the same (lambda, term)."""
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_cells_equal_standalone_runs(self, regime):
+        base = gated_rescue_scenario(regime)
+        lambdas, terms = ["0.01", "0.05", "0.2"], [HOUR, 3 * HOUR]
+        sweep = run_sweep(base, lambdas, terms)
+        assert len(sweep.cells) == len(lambdas) * len(terms)
+        for lam, term, report in sweep.cells:
+            alone = run_scenario(
+                replace(base, miqado=replace(base.miqado, premium_factor=lam, term_seconds=term))
+            )
+            assert report.to_json_dict() == alone.to_json_dict()
+
+    def test_first_failing_event_wins_in_sweeps_too(self):
+        # Event 0 fails only once the cell's term is known (its maturity
+        # runs off the path); event 1 already fails its trigger check. Both
+        # a sweep and a single replay must report event 0.
+        s = scenario_a(Regime.MIQADO_ONLY)
+        s.events = [
+            event_a(),
+            LiquidationEvent(position=pos("100", "200", pid="healthy"), path_offset=0),
+        ]
+        # With a term that fits, the trigger failure of event 1 surfaces.
+        for term, message in [
+            (10 * 24 * HOUR, "event 0: path ends at 14400, before requested timestamp 867600"),
+            (HOUR, "event 1: health factor 1.600000 at offset 0 is not below one"),
+        ]:
+            with pytest.raises(ScenarioError) as alone:
+                run_scenario(replace(s, miqado=miq(lam="0.1", term=term)))
+            with pytest.raises(ScenarioError) as swept:
+                run_sweep(s, ["0.1"], [term])
+            assert str(alone.value) == str(swept.value) == message
+
+
+class TestRescuePriceBound:
+    """The rescue scan compares prices with h * D / (C * theta) instead of
+    computing a health factor per point; the boundary must stay `>=`."""
+
+    # Event A topped up by 10%: HF(p) = 143 * p * 0.8 / 100 = 1.144 * p,
+    # so at p = 1.25 (index 3) the topped-up HF is exactly 1.43.
+    PATH_CSV = (
+        "timestamp,price\n"
+        "0,1.00\n"
+        "3600,0.90\n"
+        "5400,1.2499999999999999\n"
+        "6000,1.25\n"
+        "6600,1.30\n"
+        "10800,1.00\n"
+    )
+
+    def scenario(self, threshold, event=None):
+        return Scenario(
+            events=[event or event_a()],
+            path=load_price_csv(self.PATH_CSV),
+            fsl=FSL,
+            miqado=miq(lam="0.1", term=2 * HOUR, rescue_above_hf=Decimal(threshold)),
+            regime=Regime.MIQADO_ONLY,
+            supporter_gate=False,
+        )
+
+    @pytest.mark.parametrize(
+        "threshold, price",
+        [("1.43", "1.25"), ("1.4300000000000001", "1.30")],
+    )
+    def test_terminates_at_first_price_reaching_threshold(self, threshold, price):
+        report = run_scenario(self.scenario(threshold))
+        assert report.class_counts == {"terminated": 1}
+        settlement = report.results[0].settlement
+        assert settlement.state is SessionState.TERMINATED
+        # payoff = reimbursement * p, reimbursement = 13 * 1.05 * 0.5 = 6.825
+        assert settlement.supporter_payoff == Decimal("6.825") * Decimal(price)
+
+    def test_exact_hf_at_terminating_point(self):
+        path = load_price_csv(self.PATH_CSV)
+        topped_up = pos("100", "143")
+        assert health_factor(topped_up, path[3].price, FSL.theta) == Fraction("1.43")
+        assert health_factor(topped_up, path[2].price, FSL.theta) < Fraction("1.43")
+
+    @pytest.mark.parametrize("threshold, klass", [("0", "terminated"), ("0.5", "default")])
+    def test_no_collateral(self, threshold, klass):
+        # With no collateral the health factor is zero at every price: the
+        # borrower rescues at once iff the threshold is at most zero.
+        empty = LiquidationEvent(position=pos("100", "0", pid="empty"), path_offset=1)
+        report = run_scenario(self.scenario(threshold, event=empty))
+        assert report.class_counts == {klass: 1}
+
