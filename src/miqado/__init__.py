@@ -30,13 +30,10 @@ from .market import (
 )
 from .option import (
     BsInputs,
-    ReversibleCallOption,
     bs_call_price,
-    buyer_payoff_at_maturity,
     historical_volatility,
     optimal_premium_factor,
     std_normal_cdf,
-    termination_payoff,
 )
 from .protocol import (
     MiqadoMode,
@@ -44,7 +41,6 @@ from .protocol import (
     MiqadoSession,
     SessionState,
     SettlementOutcome,
-    StrikeRule,
     can_initiate,
     initiate,
     settle_at_maturity,
@@ -58,12 +54,7 @@ from .sim import (
     Regime,
     Scenario,
     SweepResult,
-    collateral_release,
-    collateral_restraint,
-    health_recovery,
     load_events_csv,
-    payoff_table,
-    release_reduction,
     run_scenario,
     run_sweep,
     serialize_events_csv,

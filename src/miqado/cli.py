@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -47,6 +48,17 @@ METRICS_CSV_HEADER = (
     "n_fsl,n_ineligible,n_declined,n_terminated,n_exercise_profit,"
     "n_exercise_loss,n_default"
 )
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the float flags: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _write_atomic(path: Path, data: str) -> None:
@@ -138,6 +150,17 @@ def _require(raw: dict, key: str, where: str = ""):
     return raw[key]
 
 
+def _finite_decimal(value, field: str) -> Decimal:
+    """A config number as a Decimal; anything else names the field."""
+    try:
+        number = to_decimal(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"expected a number, got {value!r}", field=field) from None
+    if not number.is_finite():
+        raise ConfigError(f"expected a finite number, got {value!r}", field=field)
+    return number
+
+
 def load_config(config_path: Path, seed_override: int | None = None) -> RunConfig:
     if not config_path.exists():
         raise ConfigError(f"no such file: {config_path}", field="config")
@@ -149,7 +172,12 @@ def load_config(config_path: Path, seed_override: int | None = None) -> RunConfi
 
     if raw.get("schema_version") != 1:
         raise ConfigError("expected 1", field="schema_version")
-    seed = int(raw.get("seed", 0)) if seed_override is None else seed_override
+    seed = seed_override
+    if seed is None:
+        try:
+            seed = int(raw.get("seed", 0))
+        except (TypeError, ValueError, ArithmeticError):
+            raise ConfigError(f"expected an integer, got {raw['seed']!r}", field="seed") from None
 
     regime_name = _require(raw, "regime")
     try:
@@ -168,11 +196,17 @@ def load_config(config_path: Path, seed_override: int | None = None) -> RunConfi
         raise ConfigError(str(exc), field="fsl") from exc
 
     sweep_raw = _require(raw, "sweep")
-    lambdas = [to_decimal(v) for v in _require(sweep_raw, "lambdas", "sweep.")]
+    lambdas = [
+        _finite_decimal(v, "sweep.lambdas") for v in _require(sweep_raw, "lambdas", "sweep.")
+    ]
     terms_hours = _require(sweep_raw, "terms_hours", "sweep.")
     if not lambdas or not terms_hours:
         raise ConfigError("sweep lists must be non-empty", field="sweep")
-    terms_seconds = [int(to_decimal(h) * 3600) for h in terms_hours]
+    terms_seconds = [int(_finite_decimal(h, "sweep.terms_hours") * 3600) for h in terms_hours]
+    if min(lambdas) <= 0:
+        raise ConfigError("premium factors must be > 0", field="sweep.lambdas")
+    if min(terms_seconds) <= 0:
+        raise ConfigError("terms must be at least one second", field="sweep.terms_hours")
 
     miq_raw = _require(raw, "miqado")
     rescue = miq_raw.get("rescue_above_hf")
@@ -252,6 +286,15 @@ def load_config(config_path: Path, seed_override: int | None = None) -> RunConfi
     else:
         raise ConfigError("need either 'csv' or 'synthetic'", field="events")
 
+    sold_fraction = _finite_decimal(raw.get("sold_fraction", 1), "sold_fraction")
+    if not 0 <= sold_fraction <= 1:
+        raise ConfigError(f"must lie in [0, 1], got {sold_fraction}", field="sold_fraction")
+    supporter_gate = raw.get("supporter_gate", True)
+    if not isinstance(supporter_gate, bool):
+        raise ConfigError(
+            f"expected true or false, got {supporter_gate!r}", field="supporter_gate"
+        )
+
     sigma_override = raw.get("sigma_override")
     return RunConfig(
         seed=seed,
@@ -260,8 +303,8 @@ def load_config(config_path: Path, seed_override: int | None = None) -> RunConfi
         miqado=miqado,
         sweep_lambdas=lambdas,
         sweep_terms_seconds=terms_seconds,
-        sold_fraction=to_decimal(raw.get("sold_fraction", 1)),
-        supporter_gate=bool(raw.get("supporter_gate", True)),
+        sold_fraction=sold_fraction,
+        supporter_gate=supporter_gate,
         foreign_rate=float(raw.get("foreign_rate", 0)),
         sigma_override=None if sigma_override is None else float(sigma_override),
         path=path,
@@ -333,8 +376,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _write_atomic(out_dir / "payoff_table.csv", _payoff_table_csv(sweep))
     _write_atomic(out_dir / "metrics.csv", _metrics_csv(sweep))
     rows = []
-    for lam, term, rep in sweep.cells:
-        rows.extend(outcome_rows_from_report(rep, lam, term))
+    for _, _, rep in sweep.cells:
+        rows.extend(outcome_rows_from_report(rep))
     _write_atomic(out_dir / "outcomes.csv", serialize_outcomes_csv(rows))
     print(f"wrote report.json, payoff_table.csv, metrics.csv, outcomes.csv to {out_dir}")
     return 0
@@ -370,20 +413,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_price = sub.add_parser("price", help="price the takeover option and break-even premium factor")
-    p_price.add_argument("--spot", type=float, required=True)
-    p_price.add_argument("--strike", type=float, required=True)
-    p_price.add_argument("--rate", type=float, default=0.0, help="domestic (borrow) rate")
-    p_price.add_argument("--foreign-rate", type=float, default=0.0)
-    p_price.add_argument("--sigma", type=float, required=True)
-    p_price.add_argument("--term", type=float, required=True, help="years")
+    p_price.add_argument("--spot", type=_finite_float, required=True)
+    p_price.add_argument("--strike", type=_finite_float, required=True)
+    p_price.add_argument("--rate", type=_finite_float, default=0.0, help="domestic (borrow) rate")
+    p_price.add_argument("--foreign-rate", type=_finite_float, default=0.0)
+    p_price.add_argument("--sigma", type=_finite_float, required=True)
+    p_price.add_argument("--term", type=_finite_float, required=True, help="years")
     p_price.add_argument("--collateral", type=str, default="1")
     p_price.set_defaults(func=cmd_price)
 
     p_gbm = sub.add_parser("gbm", help="emit a synthetic price path as CSV")
     p_gbm.add_argument("--p0", type=str, required=True)
-    p_gbm.add_argument("--mu", type=float, default=0.0)
-    p_gbm.add_argument("--sigma", type=float, required=True)
-    p_gbm.add_argument("--dt", type=float, required=True, help="years per step")
+    p_gbm.add_argument("--mu", type=_finite_float, default=0.0)
+    p_gbm.add_argument("--sigma", type=_finite_float, required=True)
+    p_gbm.add_argument("--dt", type=_finite_float, required=True, help="years per step")
     p_gbm.add_argument("--steps", type=int, required=True)
     p_gbm.add_argument("--seed", type=int, default=0)
     p_gbm.add_argument("--start-ts", type=int, default=0)

@@ -69,10 +69,6 @@ class ConfigError(MiqadoError):
         self.field = field
 
 
-class UndefinedReductionError(MiqadoError):
-    """Release reduction requested against a zero baseline."""
-
-
 class ScenarioError(MiqadoError):
     """Error raised while processing a scenario event; carries the index."""
 

@@ -1,12 +1,9 @@
-"""Reversible call option payoffs and Black-Scholes-style valuation.
+"""Black-Scholes-style valuation of the takeover option.
 
 Unlike the ledger modules this one computes in binary floating point:
-option values are model estimates, not account balances.
-
-A reversible call option is a European call whose seller may buy their way
-out before maturity by paying the buyer a multiple of the premium. At
-maturity the buyer's payoff is the familiar piecewise-linear call payoff;
-on early termination it is the flat reimbursement.
+option values are model estimates, not account balances. The option's
+payoffs themselves are settled exactly, in Decimal, by the protocol
+(`miqado.protocol.settle_at_maturity` and `terminate`).
 """
 
 from __future__ import annotations
@@ -14,9 +11,8 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from decimal import Decimal
 
-from .core import Amount, Price, Unit, to_decimal
+from .core import Amount, Price
 from .errors import InsufficientDataError
 from .market import PricePath
 
@@ -26,62 +22,6 @@ _SQRT2 = math.sqrt(2.0)
 def std_normal_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function."""
     return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def buyer_payoff_at_maturity(asset_value_at_maturity: float, strike: float, premium: float) -> float:
-    """Call-style payoff net of the premium paid up front.
-
-    Piecewise linear, continuous at the strike, floored at -premium.
-    """
-    if premium < 0:
-        raise ValueError("premium must be >= 0")
-    if asset_value_at_maturity >= strike:
-        return asset_value_at_maturity - strike - premium
-    return -premium
-
-
-def termination_payoff(premium: float, k: float) -> float:
-    """Flat reimbursement the buyer receives if the seller terminates."""
-    if k <= 0:
-        raise ValueError("reimbursement multiple must be > 0")
-    return premium * k
-
-
-@dataclass(frozen=True)
-class ReversibleCallOption:
-    """Contract record: the right to buy `asset_amount` at `strike` at
-    maturity, bought for `premium`, terminable by the seller against a
-    reimbursement of premium * reimbursement_factor."""
-
-    asset_amount: Amount  # collateral units
-    strike: Amount  # debt units
-    premium: Amount  # debt units
-    reimbursement_factor: Decimal
-    start: int
-    maturity: int
-
-    def __post_init__(self):
-        if self.asset_amount.unit is not Unit.COLLATERAL:
-            raise ValueError("asset_amount must be collateral units")
-        if self.strike.unit is not Unit.DEBT or self.premium.unit is not Unit.DEBT:
-            raise ValueError("strike and premium must be debt units")
-        if self.maturity <= self.start:
-            raise ValueError("maturity must be after start")
-        if self.asset_amount.is_zero() or self.strike.is_zero() or self.premium.is_zero():
-            raise ValueError("asset amount, strike and premium must be > 0")
-        object.__setattr__(
-            self, "reimbursement_factor", to_decimal(self.reimbursement_factor)
-        )
-
-    def buyer_payoff(self, asset_value_at_maturity: float) -> float:
-        return buyer_payoff_at_maturity(
-            asset_value_at_maturity, float(self.strike.value), float(self.premium.value)
-        )
-
-    def payoff_if_terminated(self) -> float:
-        return termination_payoff(
-            float(self.premium.value), float(self.reimbursement_factor)
-        )
 
 
 @dataclass(frozen=True)

@@ -54,11 +54,6 @@ class MiqadoMode(Enum):
     HYBRID = "hybrid"
 
 
-class StrikeRule(Enum):
-    #: Takeover strike equals the outstanding debt at maturity.
-    OUTSTANDING_DEBT = "outstanding_debt"
-
-
 class SessionState(Enum):
     ACTIVE = "active"
     TERMINATED = "terminated"
@@ -85,7 +80,6 @@ class MiqadoParams:
     k_re: Decimal
     buffer: Decimal = Decimal("0")
     mode: MiqadoMode = MiqadoMode.HYBRID
-    strike_rule: StrikeRule = StrikeRule.OUTSTANDING_DEBT
     rescue_above_hf: Decimal | None = None
 
     def __post_init__(self):

@@ -39,7 +39,6 @@ from .core import (
     SECONDS_PER_YEAR,
     Amount,
     BorrowingPosition,
-    FslOutcome,
     FslParams,
     Numeric,
     Price,
@@ -51,20 +50,13 @@ from .core import (
     quantize,
     to_decimal,
 )
-from .errors import (
-    CsvFormatError,
-    MiqadoError,
-    ScenarioError,
-    UndefinedReductionError,
-)
+from .errors import CsvFormatError, MiqadoError, ScenarioError
 from .market import CpAmmPool, PricePath, direct_price_decline
 from .option import historical_volatility
 from .protocol import (
     MiqadoMode,
     MiqadoParams,
-    MiqadoSession,
     SessionState,
-    SettlementOutcome,
     can_initiate,
     initiate,
     settle_at_maturity,
@@ -133,17 +125,22 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class EventResult:
-    """Per-event audit record accumulated by run_scenario."""
+class OutcomeRow:
+    """How one event ended in one (premium factor, term) cell: a row of
+    outcomes.csv. A report's class counts, release, restraint, price
+    declines and payoff rows are folds over its rows.
 
-    index: int
+    supporter_payoff and premium_value are set only when a session
+    settled; release_usd is the value of collateral seized by a
+    liquidation, restraint_usd the value of the supporter's top-up."""
+
+    event_index: int
     position_id: str
+    premium_factor: Decimal
+    term_seconds: int
     outcome_class: str
-    hf_pre: Fraction
-    settlement: SettlementOutcome | None
-    fsl_outcome: FslOutcome | None
-    fsl_price: Price | None
-    session: MiqadoSession | None
+    supporter_payoff: Decimal | None
+    premium_value: Decimal | None
     release_usd: Decimal
     restraint_usd: Decimal
     price_decline: Decimal | None
@@ -266,7 +263,7 @@ class MetricsReport:
     healthy_fraction_miqado: Decimal
     payoff_rows: list[PayoffRow]
     price_declines: list[Decimal]
-    results: list[EventResult] = field(repr=False, default_factory=list)
+    results: list[OutcomeRow] = field(repr=False, default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
@@ -309,80 +306,32 @@ def _sum(values: Iterable[Decimal]) -> Decimal:
     return total
 
 
-def collateral_release(
-    outcomes: Sequence[FslOutcome], prices: Sequence[Price]
-) -> Decimal:
-    """Market value of collateral handed to liquidators: sum of seized
-    amounts at the price each seizure executed at."""
-    if len(outcomes) != len(prices):
-        raise ValueError("outcomes and prices must pair up")
-    with ledger_context():
-        return _sum(o.collateral_seized.value * p.value for o, p in zip(outcomes, prices))
-
-
-def collateral_restraint(
-    sessions: Sequence[MiqadoSession], prices: Sequence[Price]
-) -> Decimal:
-    """Value of supporter top-ups locked into positions, at the price each
-    session started at."""
-    if len(sessions) != len(prices):
-        raise ValueError("sessions and prices must pair up")
-    with ledger_context():
-        return _sum(s.topup.value * p.value for s, p in zip(sessions, prices))
-
-
-def release_reduction(fsl_only: "MetricsReport", other: "MetricsReport") -> Decimal:
-    """1 - other/baseline of collateral release, versus the fsl_only run."""
-    if fsl_only.collateral_release_usd == 0:
-        raise UndefinedReductionError("baseline collateral release is zero")
-    with ledger_context():
-        return 1 - other.collateral_release_usd / fsl_only.collateral_release_usd
-
-
-def health_recovery(
-    events: Sequence[LiquidationEvent],
-    path: PricePath,
-    theta: Numeric,
-    premium_factor: Numeric,
-) -> tuple[Fraction, list[Fraction]]:
-    """Topped-up health factors and the fraction pushed back above one.
-
-    The top-up multiplies each health factor by (1 + lambda), so an event
-    recovers exactly when its pre-support health factor is at least
-    1 / (1 + lambda).
-    """
-    lam = Fraction(to_decimal(premium_factor))
-    post: list[Fraction] = []
-    healthy = 0
-    for ev in events:
-        hf_pre = health_factor(ev.position, path[ev.path_offset].price, theta)
-        hf_post = hf_pre * (1 + lam)
-        post.append(hf_post)
-        if hf_post >= 1:
-            healthy += 1
-    fraction = Fraction(healthy, len(events)) if events else Fraction(0)
-    return fraction, post
+def payoff_rows(rows: Iterable[OutcomeRow]) -> list[PayoffRow]:
+    """The payoff table of a set of outcome rows: one row per (premium
+    factor, term) cell in which some event settled at maturity, ordered
+    by term, then premium factor. Terminated sessions and events without
+    a session belong to no maturity class and count in no row."""
+    groups: dict[tuple[int, Decimal], list[OutcomeRow]] = {}
+    for r in rows:
+        if r.outcome_class in _MATURITY_CLASSES and r.supporter_payoff is not None:
+            groups.setdefault((r.term_seconds, r.premium_factor), []).append(r)
+    return [_payoff_row(lam, term, settled) for (term, lam), settled in sorted(groups.items())]
 
 
 def _payoff_row(
-    premium_factor: Decimal,
-    term_seconds: int,
-    classified: Sequence[tuple[str, Decimal]],
-) -> PayoffRow | None:
-    """Build one payoff-table row from (class, payoff) pairs.
+    premium_factor: Decimal, term_seconds: int, settled: Sequence[OutcomeRow]
+) -> PayoffRow:
+    """Build one payoff-table row from the cell's rows settled at maturity.
 
-    Only maturity classes count; probabilities are exact fractions of the
-    row size, and the payoff spread is the population standard deviation
-    so single-event rows are well defined.
+    Probabilities are exact fractions of the row size, and the payoff
+    spread is the population standard deviation so single-event rows are
+    well defined.
     """
-    settled = [(c, p) for c, p in classified if c in _MATURITY_CLASSES]
     n = len(settled)
-    if n == 0:
-        return None
     counts = {c: 0 for c in _MATURITY_CLASSES}
-    for c, _ in settled:
-        counts[c] += 1
-    payoffs = [Fraction(p) for _, p in settled]
+    for r in settled:
+        counts[r.outcome_class] += 1
+    payoffs = [Fraction(r.supporter_payoff) for r in settled]
     mean = sum(payoffs, Fraction(0)) / n
     var = sum(((x - mean) ** 2 for x in payoffs), Fraction(0)) / n
     with ledger_context():
@@ -398,34 +347,6 @@ def _payoff_row(
         mean_payoff=_fraction_to_decimal(mean),
         std_payoff=quantize(std),
     )
-
-
-def payoff_table(
-    groups: Mapping[tuple[Decimal, int], Sequence[SettlementOutcome]]
-) -> list[PayoffRow]:
-    """Payoff rows keyed by (premium factor, term). Empty groups are
-    omitted; terminated sessions do not belong to a maturity class."""
-    rows: list[PayoffRow] = []
-    for (lam, term), outcomes in sorted(
-        groups.items(), key=lambda kv: (kv[0][1], kv[0][0])
-    ):
-        classified = [
-            (_classify_settlement(o), o.supporter_payoff) for o in outcomes
-        ]
-        row = _payoff_row(to_decimal(lam), term, classified)
-        if row is not None:
-            rows.append(row)
-    return rows
-
-
-def _classify_settlement(outcome: SettlementOutcome) -> str:
-    if outcome.state is SessionState.DEFAULTED:
-        return CLASS_DEFAULT
-    if outcome.state is SessionState.EXERCISED:
-        return CLASS_EXERCISE_PROFIT if outcome.supporter_payoff > 0 else CLASS_EXERCISE_LOSS
-    if outcome.state is SessionState.TERMINATED:
-        return CLASS_TERMINATED
-    raise ValueError(f"unsettled outcome state {outcome.state}")
 
 
 def path_volatility(path: PricePath) -> float:
@@ -544,12 +465,12 @@ def run_scenario(scenario: Scenario, facts: TriggerFacts | None = None) -> Metri
     if needs_gate:
         sigma = s.sigma_override if s.sigma_override is not None else path_volatility(s.path)
 
-    results: list[EventResult] = []
+    results: list[OutcomeRow] = []
     for idx, ev in enumerate(s.events):
         if idx == len(facts.hf_pre):
             raise facts.error
         with _event_errors(idx):
-            results.append(_run_event(idx, ev, s, params, sigma, facts.hf_pre[idx]))
+            results.append(_run_event(idx, ev, s, params, sigma))
     lam = Fraction(params.premium_factor)
     hf_post_miq_values = [hf * (1 + lam) for hf in facts.hf_pre]
 
@@ -568,13 +489,6 @@ def run_scenario(scenario: Scenario, facts: TriggerFacts | None = None) -> Metri
     n = len(results)
     healthy_miq = Fraction(sum(1 for v in hf_post_miq_values if v >= 1), n) if n else Fraction(0)
 
-    classified = [
-        (r.outcome_class, r.settlement.supporter_payoff)
-        for r in results
-        if r.settlement is not None
-    ]
-    row = _payoff_row(params.premium_factor, params.term_seconds, classified)
-
     return MetricsReport(
         regime=s.regime,
         n_events=n,
@@ -588,7 +502,7 @@ def run_scenario(scenario: Scenario, facts: TriggerFacts | None = None) -> Metri
         hf_post_miqado=DistSummary.from_values(hf_post_miq_values),
         healthy_fraction_fsl=facts.healthy_fraction_fsl,
         healthy_fraction_miqado=_fraction_to_decimal(healthy_miq),
-        payoff_rows=[] if row is None else [row],
+        payoff_rows=payoff_rows(results),
         price_declines=[r.price_decline for r in results if r.price_decline is not None],
         results=results,
     )
@@ -600,8 +514,7 @@ def _run_event(
     s: Scenario,
     params: MiqadoParams,
     sigma: float,
-    hf_pre: Fraction,
-) -> EventResult:
+) -> OutcomeRow:
     """Replay one event of one cell from its trigger, already checked.
 
     Rescue scan: between initiation and maturity the position's debt D
@@ -617,56 +530,43 @@ def _run_event(
     pos = copy.copy(ev.position)
     theta = s.fsl.theta
 
-    def fsl_here(price: Price, klass: str, session=None, settlement=None, restraint=Decimal(0)):
+    def row(klass, settlement=None, release=Decimal(0), restraint=Decimal(0), decline=None):
+        return OutcomeRow(
+            event_index=idx,
+            position_id=ev.position.id,
+            premium_factor=params.premium_factor,
+            term_seconds=params.term_seconds,
+            outcome_class=klass,
+            supporter_payoff=None if settlement is None else settlement.supporter_payoff,
+            premium_value=None if settlement is None else settlement.premium_value,
+            release_usd=release,
+            restraint_usd=restraint,
+            price_decline=decline,
+        )
+
+    def fsl_here(price: Price, klass: str, settlement=None, restraint=Decimal(0)):
         out = execute_fsl(pos, price, s.fsl, _max_repay(pos, s.fsl))
         with ledger_context():
             released = out.collateral_seized.value * price.value
         decline = None
         if ev.amm_pool is not None:
             decline = direct_price_decline(ev.amm_pool, out.collateral_seized, s.sold_fraction)
-        return EventResult(
-            index=idx,
-            position_id=ev.position.id,
-            outcome_class=klass,
-            hf_pre=hf_pre,
-            settlement=settlement,
-            fsl_outcome=out,
-            fsl_price=price,
-            session=session,
-            release_usd=released,
-            restraint_usd=restraint,
-            price_decline=decline,
-        )
+        return row(klass, settlement, released, restraint, decline)
 
     if s.regime is Regime.FSL_ONLY:
         return fsl_here(p0, CLASS_FSL)
 
-    def no_action(klass: str) -> EventResult:
-        return EventResult(
-            index=idx,
-            position_id=ev.position.id,
-            outcome_class=klass,
-            hf_pre=hf_pre,
-            settlement=None,
-            fsl_outcome=None,
-            fsl_price=None,
-            session=None,
-            release_usd=Decimal(0),
-            restraint_usd=Decimal(0),
-            price_decline=None,
-        )
-
     if not can_initiate(pos, p0, theta, params):
         if s.regime is Regime.HYBRID:
             return fsl_here(p0, CLASS_INELIGIBLE)
-        return no_action(CLASS_INELIGIBLE)
+        return row(CLASS_INELIGIBLE)
 
     if s.supporter_gate and not supporter_decision(
         pos, p0, theta, params, sigma, s.foreign_rate
     ):
         if s.regime is Regime.HYBRID:
             return fsl_here(p0, CLASS_DECLINED)
-        return no_action(CLASS_DECLINED)
+        return row(CLASS_DECLINED)
 
     session = initiate(pos, p0, theta, params, t0)
     restraint = session.premium_value.value
@@ -679,42 +579,16 @@ def _run_event(
             pt = s.path[i]
             if pt.price.value >= bound:
                 outcome = terminate(session, pos, pt.price, pt.timestamp, params)
-                return EventResult(
-                    index=idx,
-                    position_id=ev.position.id,
-                    outcome_class=CLASS_TERMINATED,
-                    hf_pre=hf_pre,
-                    settlement=outcome,
-                    fsl_outcome=None,
-                    fsl_price=None,
-                    session=session,
-                    release_usd=Decimal(0),
-                    restraint_usd=restraint,
-                    price_decline=None,
-                )
+                return row(CLASS_TERMINATED, outcome, restraint=restraint)
 
     maturity_point = s.path[maturity_idx]
     outcome = settle_at_maturity(session, pos, maturity_point.price, maturity_point.timestamp)
-    klass = _classify_settlement(outcome)
-
-    if outcome.state is SessionState.DEFAULTED and s.regime is Regime.HYBRID:
-        return fsl_here(
-            maturity_point.price, klass, session=session, settlement=outcome, restraint=restraint
-        )
-
-    return EventResult(
-        index=idx,
-        position_id=ev.position.id,
-        outcome_class=klass,
-        hf_pre=hf_pre,
-        settlement=outcome,
-        fsl_outcome=None,
-        fsl_price=None,
-        session=session,
-        release_usd=Decimal(0),
-        restraint_usd=restraint,
-        price_decline=None,
-    )
+    if outcome.state is SessionState.EXERCISED:
+        klass = CLASS_EXERCISE_PROFIT if outcome.supporter_payoff > 0 else CLASS_EXERCISE_LOSS
+        return row(klass, outcome, restraint=restraint)
+    if s.regime is Regime.HYBRID:
+        return fsl_here(maturity_point.price, CLASS_DEFAULT, outcome, restraint)
+    return row(CLASS_DEFAULT, outcome, restraint=restraint)
 
 
 def _rescue_bound(
@@ -902,40 +776,9 @@ def serialize_events_csv(events: Sequence[LiquidationEvent]) -> str:
 # Outcome rows: the per-event CSV that `analyze` can re-aggregate
 
 
-@dataclass(frozen=True)
-class OutcomeRow:
-    event_index: int
-    position_id: str
-    premium_factor: Decimal
-    term_seconds: int
-    outcome_class: str
-    supporter_payoff: Decimal | None
-    premium_value: Decimal | None
-    release_usd: Decimal
-    restraint_usd: Decimal
-    price_decline: Decimal | None
-
-
-def outcome_rows_from_report(
-    report: MetricsReport, premium_factor: Decimal, term_seconds: int
-) -> list[OutcomeRow]:
-    rows = []
-    for r in report.results:
-        rows.append(
-            OutcomeRow(
-                event_index=r.index,
-                position_id=r.position_id,
-                premium_factor=premium_factor,
-                term_seconds=term_seconds,
-                outcome_class=r.outcome_class,
-                supporter_payoff=None if r.settlement is None else r.settlement.supporter_payoff,
-                premium_value=None if r.settlement is None else r.settlement.premium_value,
-                release_usd=r.release_usd,
-                restraint_usd=r.restraint_usd,
-                price_decline=r.price_decline,
-            )
-        )
-    return rows
+def outcome_rows_from_report(report: MetricsReport) -> list[OutcomeRow]:
+    """The rows of one cell's report, in event order."""
+    return report.results
 
 
 def serialize_outcomes_csv(rows: Sequence[OutcomeRow]) -> str:
@@ -997,21 +840,8 @@ def load_outcomes_csv(data: bytes | str) -> list[OutcomeRow]:
 
 def aggregate_outcome_rows(rows: Sequence[OutcomeRow]) -> dict:
     """Recompute release, restraint and the payoff table from outcome rows."""
-    release = _sum(r.release_usd for r in rows)
-    restraint = _sum(r.restraint_usd for r in rows)
-    groups: dict[tuple[Decimal, int], list[tuple[str, Decimal]]] = {}
-    for r in rows:
-        if r.outcome_class in _MATURITY_CLASSES and r.supporter_payoff is not None:
-            groups.setdefault((r.premium_factor, r.term_seconds), []).append(
-                (r.outcome_class, r.supporter_payoff)
-            )
-    payoff_rows = []
-    for (lam, term), classified in sorted(groups.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-        row = _payoff_row(lam, term, classified)
-        if row is not None:
-            payoff_rows.append(row)
     return {
-        "collateral_release_usd": dec_str(release),
-        "collateral_restraint_usd": dec_str(restraint),
-        "payoff_table": [row.to_json_dict() for row in payoff_rows],
+        "collateral_release_usd": dec_str(_sum(r.release_usd for r in rows)),
+        "collateral_restraint_usd": dec_str(_sum(r.restraint_usd for r in rows)),
+        "payoff_table": [row.to_json_dict() for row in payoff_rows(rows)],
     }

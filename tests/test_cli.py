@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from miqado.cli import main
+from miqado.cli import load_config, main
 from miqado.market import load_price_csv
+from miqado.sim import serialize_events_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -28,7 +29,10 @@ MC_ATM_CALL = 10.452096058627289
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejected a flag
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -69,13 +73,23 @@ class TestPrice:
         assert values["call_price"] == pytest.approx(MC_ATM_CALL, rel=0.005)
         assert values["lambda_star"] == pytest.approx(MC_ATM_CALL / 1000.0, rel=0.005)
 
-    def test_bad_value_is_usage_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "price", "--spot", "100", "--strike", "100",
-            "--sigma", "-0.2", "--term", "1",
-        )
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            pytest.param("--sigma", "-0.2", "usage error", id="sigma=-0.2"),
+            pytest.param("--sigma", "inf", "--sigma", id="sigma=inf"),
+            pytest.param("--spot", "nan", "--spot", id="spot=nan"),
+            pytest.param("--strike", "-inf", "--strike", id="strike=-inf"),
+            pytest.param("--rate", "nan", "--rate", id="rate=nan"),
+            pytest.param("--term", "abc", "--term", id="term=abc"),
+        ],
+    )
+    def test_bad_value_is_usage_error(self, capsys, flag, value, message):
+        flags = {"--spot": "100", "--strike": "100", "--sigma": "0.2", "--term": "1", flag: value}
+        code, out, err = run_cli(capsys, "price", *(x for kv in flags.items() for x in kv))
         assert code == 2
-        assert "usage error" in err
+        assert message in err
+        assert out == ""
 
     def test_missing_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -109,6 +123,21 @@ class TestGbm:
         from miqado.market import serialize_price_csv
 
         assert serialize_price_csv(load_price_csv(out)) == out
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            pytest.param("--sigma", "nan", id="sigma=nan"),
+            pytest.param("--mu", "inf", id="mu=inf"),
+            pytest.param("--dt", "-inf", id="dt=-inf"),
+        ],
+    )
+    def test_non_finite_value_is_usage_error(self, capsys, flag, value):
+        flags = {"--p0": "100", "--sigma": "0.5", "--dt": "0.001", "--steps": "5", flag: value}
+        code, out, err = run_cli(capsys, "gbm", *(x for kv in flags.items() for x in kv))
+        assert code == 2
+        assert flag in err
+        assert out == ""
 
     def test_invalid_dt_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -168,17 +197,46 @@ class TestSimulate:
         assert code == 1
         assert "nope.json" in err
 
-    def test_invalid_config_names_field(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "keys, value, names",
+        [
+            pytest.param(("fsl", "theta"), "1.5", ("fsl", "theta"), id="fsl.theta=1.5"),
+            pytest.param(
+                ("supporter_gate",), "false", ("supporter_gate",), id="supporter_gate=string"
+            ),
+            pytest.param(("sweep", "lambdas"), ["abc"], ("sweep.lambdas",), id="lambdas=abc"),
+            pytest.param(("sweep", "lambdas"), ["NaN"], ("sweep.lambdas",), id="lambdas=NaN"),
+            pytest.param(
+                ("sweep", "lambdas"), ["Infinity"], ("sweep.lambdas",), id="lambdas=Infinity"
+            ),
+            pytest.param(
+                ("sweep", "lambdas"), ["0.1", "-1"], ("sweep.lambdas",), id="lambdas=negative"
+            ),
+            pytest.param(
+                ("sweep", "terms_hours"), ["x"], ("sweep.terms_hours",), id="terms_hours=x"
+            ),
+            pytest.param(
+                ("sweep", "terms_hours"), [1, 0.0001], ("sweep.terms_hours",), id="terms_hours=0s"
+            ),
+            pytest.param(("seed",), "x", ("seed",), id="seed=x"),
+            pytest.param(("sold_fraction",), "2", ("sold_fraction",), id="sold_fraction=2"),
+        ],
+    )
+    def test_invalid_config_names_field(self, capsys, tmp_path, keys, value, names):
         bad = tmp_path / "bad.json"
         config = json.loads((FIXTURES / "config_hand.json").read_text())
-        config["fsl"]["theta"] = "1.5"
+        target = config
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
         bad.write_text(json.dumps(config))
         # referenced CSVs resolve relative to the config file
         (tmp_path / "path_hand.csv").write_text((FIXTURES / "path_hand.csv").read_text())
         (tmp_path / "events_hand.csv").write_text((FIXTURES / "events_hand.csv").read_text())
         code, _, err = run_cli(capsys, "simulate", "--config", str(bad), "--out", str(tmp_path))
         assert code == 1
-        assert "fsl" in err and "theta" in err
+        assert all(name in err for name in names)
+        assert not (tmp_path / "report.json").exists()
 
     def test_missing_sweep_field_named(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -191,22 +249,40 @@ class TestSimulate:
 
 
 class TestAnalyze:
-    def test_recomputes_simulate_outputs(self, capsys, tmp_path):
-        run_cli(capsys, "simulate", "--config", str(FIXTURES / "config_hand.json"),
-                "--out", str(tmp_path))
+    # analyze sums the per-event releases that outcomes.csv has already
+    # rounded to 18 places, so its total may drift from the sum of the
+    # cells' totals by half a quantum per row and per cell. The hand
+    # fixture's values need no rounding.
+    @pytest.mark.parametrize(
+        "config_name, slack",
+        [
+            pytest.param("config_hand.json", 0, id="hand"),
+            pytest.param("config_sweep.json", Decimal("0.5e-18"), id="sweep"),
+        ],
+    )
+    def test_recomputes_simulate_outputs(self, capsys, tmp_path, config_name, slack):
+        config = FIXTURES / config_name
+        run_cli(capsys, "simulate", "--config", str(config), "--out", str(tmp_path))
+        events = load_config(config).events
+        (tmp_path / "events.csv").write_text(serialize_events_csv(events))
         code, out, _ = run_cli(
             capsys, "analyze",
-            "--events", str(FIXTURES / "events_hand.csv"),
+            "--events", str(tmp_path / "events.csv"),
             "--outcomes", str(tmp_path / "outcomes.csv"),
         )
         assert code == 0
         summary = json.loads(out)
         report = json.loads((tmp_path / "report.json").read_text())
-        cell = report["cells"][0]["report"]
-        assert summary["collateral_release_usd"] == cell["collateral_release_usd"]
-        assert summary["collateral_restraint_usd"] == cell["collateral_restraint_usd"]
+        cells = [cell["report"] for cell in report["cells"]]
+
+        def total(key):
+            return sum((Decimal(cell[key]) for cell in cells), Decimal(0))
+
         assert summary["payoff_table"] == report["payoff_table"]
-        assert summary["n_events"] == 2
+        assert Decimal(summary["collateral_restraint_usd"]) == total("collateral_restraint_usd")
+        drift = Decimal(summary["collateral_release_usd"]) - total("collateral_release_usd")
+        assert abs(drift) <= (len(events) * len(cells) + len(cells)) * slack
+        assert summary["n_events"] == len(events)
 
     def test_missing_file_is_runtime_error(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -1,5 +1,9 @@
 """Option payoffs, normal CDF, call valuation, volatility estimation.
 
+The option's payoffs are settled by the support protocol, so they are
+checked through `settle_at_maturity` and `terminate` on a session whose
+takeover right is the option.
+
 Monte-Carlo reference values were produced by an independent seeded
 GBM payoff simulation (antithetic, inverse-CDF normals over PCG64) and
 frozen here. The CDF references come from quadrature of the Gaussian
@@ -11,23 +15,28 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtri
 
-from miqado.core import Amount, Price
-from miqado.errors import InsufficientDataError
+from miqado.core import Amount, BorrowingPosition, Price, ledger_context
+from miqado.errors import InsufficientDataError, UnitMismatchError
 from miqado.market import PricePath
 from miqado.option import (
     BsInputs,
-    ReversibleCallOption,
     bs_call_price,
-    buyer_payoff_at_maturity,
     historical_volatility,
     optimal_premium_factor,
     std_normal_cdf,
-    termination_payoff,
+)
+from miqado.protocol import (
+    MiqadoMode,
+    MiqadoParams,
+    SessionState,
+    initiate,
+    settle_at_maturity,
+    terminate,
 )
 
 # Frozen output of the independent Monte-Carlo oracle for
@@ -49,48 +58,115 @@ def mc_call_estimate(spot, strike, r, rf, sigma, term, n_pairs=500_000, seed=202
     return math.exp(-r * term) * payoff.mean()
 
 
+HOUR = 3600
+
+
+def takeover_session(debt="100", collateral="80", lam="0.25", p0="0.25", rate="0.05", k_re="0.5"):
+    """A support session on a position with health factor below one. Its
+    option has strike D = debt, premium lam * C * p0 and underlying the
+    topped-up collateral C * (1 + lam). The defaults give premium 5 on 100
+    collateral units."""
+    pos = BorrowingPosition(
+        id="b1",
+        debt=Amount.debt(Decimal(debt)),
+        collateral=Amount.collateral(Decimal(collateral)),
+        borrow_rate=Decimal(rate),
+    )
+    params = MiqadoParams(
+        premium_factor=Decimal(lam), term_seconds=HOUR, k_re=Decimal(k_re), mode=MiqadoMode.PURE
+    )
+    session = initiate(pos, Price(Decimal(p0)), Decimal("0.8"), params, now=0)
+    return pos, session, params
+
+
+def settle(asset_value, **kw):
+    """Settle at maturity at the price where the topped-up collateral is
+    worth `asset_value`."""
+    pos, session, _ = takeover_session(**kw)
+    p_t = Decimal(asset_value) / pos.collateral.value
+    return settle_at_maturity(session, pos, Price(p_t), now=HOUR)
+
+
+def buyer_payoff(asset_value, **kw):
+    return settle(asset_value, **kw).supporter_payoff
+
+
+def termination(p="0.25", **kw):
+    pos, session, params = takeover_session(**kw)
+    return session, terminate(session, pos, Price(Decimal(p)), now=HOUR // 2, params=params)
+
+
 class TestBuyerPayoff:
+    """At maturity the supporter holds a call on the collateral struck at
+    the debt, bought for the premium: C*p - D - premium when C*p >= D,
+    otherwise -premium."""
+
     def test_branch_boundary(self):
-        assert buyer_payoff_at_maturity(100.0, 100.0, 5.0) == -5.0
+        # at the strike the supporter still takes the position over
+        out = settle("100")
+        assert out.state is SessionState.EXERCISED
+        assert out.supporter_payoff == -5
 
     def test_in_the_money(self):
-        assert buyer_payoff_at_maturity(120.0, 100.0, 5.0) == 15.0
+        assert buyer_payoff("120") == 15
 
     def test_out_of_the_money(self):
-        assert buyer_payoff_at_maturity(80.0, 100.0, 5.0) == -5.0
+        assert buyer_payoff("80") == -5
 
     @given(
-        at=st.floats(0, 1e6, allow_nan=False),
-        k=st.floats(0.01, 1e6, allow_nan=False),
-        prem=st.floats(0, 1e4, allow_nan=False),
+        debt=st.decimals(min_value=1, max_value=10**6, places=4),
+        lam=st.decimals(min_value=Decimal("0.0001"), max_value=2, places=4),
+        p0=st.decimals(min_value=Decimal("0.01"), max_value=100, places=4),
+        p_t=st.decimals(min_value=Decimal("0.0001"), max_value=10**4, places=4),
     )
-    def test_floor_is_minus_premium(self, at, k, prem):
-        assert buyer_payoff_at_maturity(at, k, prem) >= -prem
+    def test_floor_is_minus_premium(self, debt, lam, p0, p_t):
+        assume(100 * p0 * Decimal("0.8") < debt)  # health factor below one
+        pos, session, _ = takeover_session(debt=debt, collateral="100", lam=lam, p0=p0)
+        premium = session.premium_value.value
+        with ledger_context():
+            asset = pos.collateral.value * p_t
+            expected = asset - debt - premium if asset >= debt else -premium
+        payoff = settle_at_maturity(session, pos, Price(p_t), now=HOUR).supporter_payoff
+        assert payoff == expected
+        assert payoff >= -premium
 
     def test_continuous_at_strike(self):
-        eps = 1e-9
-        below = buyer_payoff_at_maturity(100.0 - eps, 100.0, 5.0)
-        above = buyer_payoff_at_maturity(100.0 + eps, 100.0, 5.0)
-        assert abs(above - below) < 1e-6
+        below = buyer_payoff("99.999999999")
+        above = buyer_payoff("100.000000001")
+        assert abs(above - below) < Decimal("1e-6")
 
     def test_negative_premium_rejected(self):
         with pytest.raises(ValueError):
-            buyer_payoff_at_maturity(100.0, 100.0, -1.0)
+            takeover_session(lam="-0.25")
 
 
 class TestTerminationPayoff:
+    """On termination the supporter is paid topup * (1 + r) * k_re
+    collateral units, worth that times the terminating price."""
+
     def test_identity_factor(self):
-        assert termination_payoff(10.0, 1.0) == 10.0
+        # (1 + 0.25) * 0.8 = 1: the payoff is the top-up itself, which at
+        # the initiation price is the premium
+        session, out = termination(rate="0.25", k_re="0.8")
+        assert out.supporter_payoff == session.premium_value.value == 5
 
     def test_scaling(self):
-        assert termination_payoff(10.0, 1.5) == 15.0
+        # (1 + 0.875) * 0.8 = 1.5 times the top-up of 20 units
+        _, out = termination(rate="0.875", k_re="0.8")
+        assert out.supporter_payoff == Decimal("7.5")
+        _, out = termination(p="0.5", rate="0.875", k_re="0.8")
+        assert out.supporter_payoff == 15
 
     def test_zero_premium(self):
-        assert termination_payoff(0.0, 2.0) == 0.0
+        # no collateral: zero top-up, zero premium, zero reimbursement
+        session, out = termination(collateral="0")
+        assert session.premium_value.value == 0
+        assert out.supporter_payoff == 0
 
     def test_nonpositive_factor_rejected(self):
-        with pytest.raises(ValueError):
-            termination_payoff(10.0, 0.0)
+        for k_re in ("0", "-0.5"):
+            with pytest.raises(ValueError):
+                takeover_session(k_re=k_re)
 
 
 class TestStdNormalCdf:
@@ -228,28 +304,26 @@ class TestPricingAgainstRuntimeMc:
 
 
 class TestReversibleCallOption:
-    def make(self, **kw):
-        defaults = dict(
-            asset_amount=Amount.collateral(10),
-            strike=Amount.debt(100),
-            premium=Amount.debt(5),
-            reimbursement_factor=Decimal("1.5"),
-            start=0,
-            maturity=3600,
-        )
-        defaults.update(kw)
-        return ReversibleCallOption(**defaults)
+    """One contract, strike 100 and premium 5, settled each way."""
 
     def test_payoffs(self):
-        opt = self.make()
-        assert opt.buyer_payoff(120.0) == 15.0
-        assert opt.buyer_payoff(80.0) == -5.0
-        assert opt.payoff_if_terminated() == 7.5
+        assert buyer_payoff("120") == 15
+        assert buyer_payoff("80") == -5
+        # terminated: the supporter takes back the top-up of 20 units plus
+        # (1 + 0.25) * 0.4 = 0.5 of it, 1.5 times the premium at p0
+        session, out = termination(rate="0.25", k_re="0.4")
+        assert out.supporter_receipt_collateral == Decimal("1.5") * session.topup.value
+        assert out.supporter_receipt_collateral * Decimal("0.25") == Decimal("7.5")
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            self.make(maturity=0)
+            MiqadoParams(premium_factor=Decimal("0.25"), term_seconds=0, k_re=Decimal("0.5"))
         with pytest.raises(ValueError):
-            self.make(premium=Amount.debt(0))
-        with pytest.raises(ValueError):
-            self.make(asset_amount=Amount.debt(10))
+            takeover_session(lam="0")
+        with pytest.raises(UnitMismatchError):
+            BorrowingPosition(
+                id="b1",
+                debt=Amount.debt(100),
+                collateral=Amount.debt(10),
+                borrow_rate=Decimal("0.05"),
+            )

@@ -14,24 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miqado.core import Amount, BorrowingPosition, FslParams, Price, health_factor
-from miqado.errors import (
-    CsvFormatError,
-    ScenarioError,
-    UndefinedReductionError,
-)
+from miqado.errors import CsvFormatError, ScenarioError
 from miqado.market import CpAmmPool, GbmParams, PricePath, generate_gbm, load_price_csv
-from miqado.protocol import MiqadoParams, SessionState, SettlementOutcome
+from miqado.protocol import MiqadoParams
 from miqado.sim import (
     DistSummary,
     LiquidationEvent,
+    OutcomeRow,
     Regime,
     Scenario,
-    collateral_release,
-    collateral_restraint,
-    health_recovery,
     load_events_csv,
-    payoff_table,
-    release_reduction,
+    payoff_rows,
     report_to_json,
     run_scenario,
     run_sweep,
@@ -109,8 +102,9 @@ class TestSingleEventOracle:
         assert row.std_payoff == 0
         assert report.healthy_fraction_miqado == 1  # 0.936 * 1.1 = 1.0296
         result = report.results[0]
-        assert result.settlement.state is SessionState.EXERCISED
-        assert result.settlement.supporter_payoff == Decimal("42.74")
+        assert result.outcome_class == "exercise_profit"
+        assert result.supporter_payoff == Decimal("42.74")
+        assert result.premium_value == Decimal("11.7")
 
     def test_hybrid_same_as_miqado_when_exercised(self):
         report = run_scenario(scenario_a(Regime.HYBRID))
@@ -182,18 +176,20 @@ class TestTwoEventReductionOracle:
         assert report.collateral_release_usd == Decimal("42.9")
         assert report.class_counts == {"exercise_profit": 1, "default": 1}
         assert report.collateral_restraint_usd == Decimal("19.5")  # 11.7 + 7.8
-        # the defaulted event's liquidation was capped
+        # the defaulted event's liquidation was capped: it seized all 143
+        # collateral units, not the uncapped 175
         defaulted = [r for r in report.results if r.outcome_class == "default"][0]
-        assert defaulted.fsl_outcome.shortfall
-        assert defaulted.fsl_outcome.collateral_seized.value == Decimal("143")
+        assert defaulted.release_usd == Decimal("143") * Decimal("0.30")
+        assert defaulted.supporter_payoff == Decimal("-7.8")
 
     def test_reduction_matches_hand_value(self):
         fsl_report = run_scenario(scenario_b(Regime.FSL_ONLY))
         hybrid_report = run_scenario(scenario_b(Regime.HYBRID))
-        reduction = release_reduction(fsl_report, hybrid_report)
         oracle = Fraction(621, 1050)  # 1 - 42.9/105, by hand
+        # the baseline is the fsl_only run's release
+        assert hybrid_report.fsl_baseline_release_usd == fsl_report.collateral_release_usd
+        reduction = 1 - hybrid_report.collateral_release_usd / fsl_report.collateral_release_usd
         assert abs(Fraction(reduction) - oracle) <= Fraction(1, 10**9)
-        # engine also reports it against its internal baseline
         assert abs(Fraction(hybrid_report.release_reduction) - oracle) <= Fraction(1, 10**9)
 
     def test_payoff_row_hand_values(self):
@@ -264,9 +260,9 @@ class TestThreeClassOracle:
     def test_payoffs(self):
         report = run_scenario(self.scenario())
         by_id = {r.position_id: r for r in report.results}
-        assert by_id["plus"].settlement.supporter_payoff == Decimal("19")
-        assert by_id["minus"].settlement.supporter_payoff == Decimal("-5.5")
-        assert by_id["hash"].settlement.supporter_payoff == Decimal("-10")
+        assert by_id["plus"].supporter_payoff == Decimal("19")
+        assert by_id["minus"].supporter_payoff == Decimal("-5.5")
+        assert by_id["hash"].supporter_payoff == Decimal("-10")
 
 
 class TestEmptyAndErrors:
@@ -291,9 +287,14 @@ class TestEmptyAndErrors:
         assert report.hf_pre.count == 0
 
     def test_zero_baseline_reduction_rejected(self):
-        empty = run_scenario(self.empty_scenario())
-        with pytest.raises(UndefinedReductionError):
-            release_reduction(empty, empty)
+        # Liquidating a position without collateral releases nothing, so
+        # the baseline is zero and no reduction is reported against it.
+        s = scenario_a(Regime.FSL_ONLY)
+        s.events = [LiquidationEvent(position=pos("100", "0"), path_offset=1)]
+        report = run_scenario(s)
+        assert report.fsl_baseline_release_usd == 0
+        assert report.release_reduction is None
+        assert report.to_json_dict()["release_reduction"] is None
 
     def test_healthy_event_rejected_with_index(self):
         s = scenario_a(Regime.FSL_ONLY)
@@ -335,10 +336,11 @@ class TestBorrowerRescue:
         )
         report = run_scenario(s)
         assert report.class_counts == {"terminated": 1}
-        outcome = report.results[0].settlement
-        assert outcome.state is SessionState.TERMINATED
-        # reimbursement = 13 * 1.05 * 0.5 = 6.825 collateral units
-        assert outcome.borrower_cost == Decimal("6.825")
+        outcome = report.results[0]
+        assert outcome.outcome_class == "terminated"
+        # reimbursement = 13 * 1.05 * 0.5 = 6.825 collateral units, paid to
+        # the supporter at the terminating price 1.50
+        assert outcome.supporter_payoff == Decimal("6.825") * Decimal("1.50")
         assert report.collateral_release_usd == 0
         # terminated sessions still restrained the top-up while live
         assert report.collateral_restraint_usd == Decimal("11.7")
@@ -346,82 +348,125 @@ class TestBorrowerRescue:
 
 
 class TestHealthRecovery:
+    """The top-up multiplies each health factor by (1 + lambda), so an event
+    recovers exactly when its pre-support health factor is at least
+    1 / (1 + lambda)."""
+
+    def report(self, events, lam):
+        return run_scenario(
+            Scenario(
+                events=events,
+                path=PricePath.from_pairs([(0, "1.00"), (3600, "1.00")]),
+                fsl=FSL,
+                miqado=miq(lam=lam, term=HOUR),
+                regime=Regime.MIQADO_ONLY,
+                supporter_gate=False,
+            )
+        )
+
     def test_hand_example(self):
         # HF exactly 0.97: C = 121.25 at p=1, theta=0.8, D=100
         events = [
             LiquidationEvent(position=pos("100", "121.25", pid=f"e{i}"), path_offset=0)
             for i in range(4)
         ]
-        path = PricePath.from_pairs([(0, "1.00")])
-        fraction, post = health_recovery(events, path, Decimal("0.8"), Decimal("0.05"))
-        assert fraction == 1
-        assert all(v == Fraction(Decimal("1.0185")) for v in post)
+        report = self.report(events, "0.05")
+        assert report.healthy_fraction_miqado == 1
+        post = report.hf_post_miqado
+        assert post.count == 4
+        assert post.minimum == post.maximum == Decimal("1.0185")
 
     def test_threshold_fraction_zero(self):
         events = [LiquidationEvent(position=pos("100", "121.25"), path_offset=0)]
-        path = PricePath.from_pairs([(0, "1.00")])
-        fraction, _ = health_recovery(events, path, Decimal("0.8"), Decimal("0.01"))
-        assert fraction == 0  # 1/1.01 > 0.97
+        report = self.report(events, "0.01")
+        assert report.healthy_fraction_miqado == 0  # 1/1.01 > 0.97
 
     def test_monotone_in_lambda(self):
         events = [
             LiquidationEvent(position=pos("100", str(100 + i), pid=f"e{i}"), path_offset=0)
             for i in range(20)
         ]
-        path = PricePath.from_pairs([(0, "1.00")])
         fractions = [
-            health_recovery(events, path, Decimal("0.8"), lam)[0]
-            for lam in (Decimal("0.01"), Decimal("0.05"), Decimal("0.10"), Decimal("0.25"))
+            self.report(events, lam).healthy_fraction_miqado
+            for lam in ("0.01", "0.05", "0.10", "0.25")
         ]
         assert fractions == sorted(fractions)
+        assert fractions[0] < fractions[-1]
+
+
+def outcome(klass, payoff=None, lam="0.05", term=HOUR):
+    return OutcomeRow(
+        event_index=0,
+        position_id="x",
+        premium_factor=Decimal(lam),
+        term_seconds=term,
+        outcome_class=klass,
+        supporter_payoff=None if payoff is None else Decimal(payoff),
+        premium_value=None,
+        release_usd=Decimal(0),
+        restraint_usd=Decimal(0),
+        price_decline=None,
+    )
 
 
 class TestMetricOps:
     def test_release_additivity(self):
-        from miqado.core import execute_fsl
-
-        outs, prices = [], []
-        for d, c, p in [("100", "130", "0.9"), ("100", "130", "0.6")]:
-            position = pos(d, c)
-            price = Price(Decimal(p))
-            outs.append(execute_fsl(position, price, FSL, Amount.debt(Decimal(d) / 2)))
-            prices.append(price)
-        total = collateral_release(outs, prices)
-        first = collateral_release(outs[:1], prices[:1])
-        second = collateral_release(outs[1:], prices[1:])
+        # Events settle independently, so a report's release is the sum of
+        # the releases of its events run alone.
+        s = scenario_b(Regime.FSL_ONLY)
+        total = run_scenario(s).collateral_release_usd
+        first = run_scenario(replace(s, events=s.events[:1])).collateral_release_usd
+        second = run_scenario(replace(s, events=s.events[1:])).collateral_release_usd
         assert total == first + second
-        assert collateral_release([], []) == 0
+        assert run_scenario(replace(s, events=[])).collateral_release_usd == 0
 
     def test_restraint_example(self):
-        from miqado.protocol import initiate
-
-        position = pos("900", "100")
-        price = Price(Decimal(10))
-        session = initiate(position, price, Decimal("0.8"), miq(lam="0.2"), now=0)
-        assert collateral_restraint([session], [price]) == Decimal("200")
-        assert collateral_restraint([], []) == 0
+        # Top-up 0.2 * 100 collateral units at price 10 restrains 200.
+        s = Scenario(
+            events=[LiquidationEvent(position=pos("900", "100"), path_offset=0)],
+            path=PricePath.from_pairs([(0, "10"), (3600, "10")]),
+            fsl=FSL,
+            miqado=miq(lam="0.2", term=HOUR),
+            regime=Regime.MIQADO_ONLY,
+            supporter_gate=False,
+        )
+        report = run_scenario(s)
+        assert report.collateral_restraint_usd == Decimal("200")
+        assert report.results[0].restraint_usd == Decimal("200")
+        assert run_scenario(replace(s, events=[])).collateral_restraint_usd == 0
 
     def test_payoff_table_all_defaults(self):
-        def default_outcome(premium):
-            return SettlementOutcome(
-                state=SessionState.DEFAULTED,
-                supporter_payoff=-Decimal(premium),
-                borrower_cost=Decimal(0),
-                collateral_disposition="default",
-                premium_value=Decimal(premium),
-                supporter_receipt_collateral=Decimal(0),
-            )
-
-        rows = payoff_table(
-            {(Decimal("0.05"), HOUR): [default_outcome("10"), default_outcome("30")]}
-        )
+        rows = payoff_rows([outcome("default", "-10"), outcome("default", "-30")])
         assert len(rows) == 1
         row = rows[0]
         assert (row.p_exercise_profit, row.p_exercise_loss, row.p_default) == (0, 0, 1)
         assert row.mean_payoff == Decimal("-20")
 
     def test_payoff_table_empty_group_omitted(self):
-        assert payoff_table({(Decimal("0.05"), HOUR): []}) == []
+        # A cell in which no event settled at maturity gets no row.
+        assert payoff_rows([]) == []
+        rows = payoff_rows(
+            [
+                outcome("terminated", "3", lam="0.05"),
+                outcome("fsl"),
+                outcome("default", "-1", lam="0.1"),
+            ]
+        )
+        assert [(row.premium_factor, row.n) for row in rows] == [(Decimal("0.1"), 1)]
+
+    def test_rows_ordered_by_term_then_premium_factor(self):
+        rows = payoff_rows(
+            [
+                outcome("default", "-1", lam="0.2", term=HOUR),
+                outcome("default", "-1", lam="0.1", term=2 * HOUR),
+                outcome("default", "-1", lam="0.1", term=HOUR),
+            ]
+        )
+        assert [(row.term_seconds, row.premium_factor) for row in rows] == [
+            (HOUR, Decimal("0.1")),
+            (HOUR, Decimal("0.2")),
+            (2 * HOUR, Decimal("0.1")),
+        ]
 
 
 class TestSweep:
@@ -483,8 +528,9 @@ class TestSupporterGate:
         assert report.class_counts == {"declined": 3}
         assert report.collateral_release_usd > 0
         declined = report.results[0]
-        assert declined.fsl_outcome is not None
-        assert declined.settlement is None
+        assert declined.release_usd > 0
+        assert declined.supporter_payoff is None
+        assert declined.restraint_usd == 0
 
     def test_sigma_estimated_from_path_when_not_overridden(self):
         # flat path: estimated sigma is 0; with the debt above the spot's
@@ -516,8 +562,14 @@ class TestPureModeNewRound:
     def test_report_matches_health_recovery_op(self):
         s = scenario_b(Regime.MIQADO_ONLY)
         report = run_scenario(s)
-        fraction, _ = health_recovery(s.events, s.path, FSL.theta, s.miqado.premium_factor)
-        assert Fraction(report.healthy_fraction_miqado) == fraction
+        lam = Fraction(s.miqado.premium_factor)
+        recovered = [
+            health_factor(ev.position, s.path[ev.path_offset].price, FSL.theta) * (1 + lam) >= 1
+            for ev in s.events
+        ]
+        # evA: 0.936 * 1.1 >= 1; evB: 0.624 * 1.1 < 1
+        assert recovered == [True, False]
+        assert Fraction(report.healthy_fraction_miqado) == Fraction(sum(recovered), len(recovered))
 
 
 class TestEventsCsv:
@@ -672,6 +724,12 @@ class TestSweepSharesTriggerFacts:
             )
             assert report.to_json_dict() == alone.to_json_dict()
 
+    def test_payoff_rows_of_all_cells_equal_sweep_payoff_rows(self):
+        sweep = run_sweep(gated_rescue_scenario(), ["0.01", "0.05", "0.2"], [HOUR, 3 * HOUR])
+        rows = [row for _, _, report in sweep.cells for row in report.results]
+        assert sweep.payoff_rows
+        assert payoff_rows(rows) == sweep.payoff_rows
+
     def test_first_failing_event_wins_in_sweeps_too(self):
         # Event 0 fails only once the cell's term is known (its maturity
         # runs off the path); event 1 already fails its trigger check. Both
@@ -726,8 +784,8 @@ class TestRescuePriceBound:
     def test_terminates_at_first_price_reaching_threshold(self, threshold, price):
         report = run_scenario(self.scenario(threshold))
         assert report.class_counts == {"terminated": 1}
-        settlement = report.results[0].settlement
-        assert settlement.state is SessionState.TERMINATED
+        settlement = report.results[0]
+        assert settlement.outcome_class == "terminated"
         # payoff = reimbursement * p, reimbursement = 13 * 1.05 * 0.5 = 6.825
         assert settlement.supporter_payoff == Decimal("6.825") * Decimal(price)
 
