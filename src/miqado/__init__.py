@@ -36,7 +36,6 @@ from .option import (
     std_normal_cdf,
 )
 from .protocol import (
-    MiqadoMode,
     MiqadoParams,
     MiqadoSession,
     SessionState,

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
-from .core import Amount, FslParams, Price, to_decimal
+from .core import Amount, FslParams, Price, ledger_context, to_decimal
 from .errors import ConfigError, MiqadoError
-from .market import CpAmmPool, GbmParams, PricePath, generate_gbm, load_price_csv, serialize_price_csv
+from .market import CpAmmPool, GbmParams, generate_gbm, load_price_csv, serialize_price_csv
 from .option import BsInputs, bs_call_price, optimal_premium_factor
 from .protocol import MiqadoParams
 from .sim import (
-    LiquidationEvent,
     Regime,
     Scenario,
     SweepResult,
@@ -117,10 +116,11 @@ def cmd_gbm(args: argparse.Namespace) -> int:
             seed=args.seed,
             start_ts=args.start_ts,
         )
+        path = generate_gbm(params)
     except (ValueError, InvalidOperation) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(serialize_price_csv(generate_gbm(params)))
+    sys.stdout.write(serialize_price_csv(path))
     return 0
 
 
@@ -128,20 +128,18 @@ def cmd_gbm(args: argparse.Namespace) -> int:
 # simulate
 
 
-@dataclass
-class RunConfig:
+@dataclass(kw_only=True)
+class RunConfig(Scenario):
+    """The scenario a config file describes, with the run seed and the
+    (premium factor, term) grid to sweep it over."""
+
     seed: int
-    regime: Regime
-    fsl: FslParams
-    miqado: MiqadoParams
     sweep_lambdas: list[Decimal]
     sweep_terms_seconds: list[int]
-    sold_fraction: Decimal
-    supporter_gate: bool
-    foreign_rate: float
-    sigma_override: float | None
-    path: PricePath
-    events: list[LiquidationEvent]
+
+
+#: Default of a field that has none: the field is required.
+_REQUIRED = object()
 
 
 def _require(raw: dict, key: str, where: str = ""):
@@ -150,165 +148,196 @@ def _require(raw: dict, key: str, where: str = ""):
     return raw[key]
 
 
-def _finite_decimal(value, field: str) -> Decimal:
-    """A config number as a Decimal; anything else names the field."""
+def _section(raw, where: str, keys: tuple[str, ...]) -> dict:
+    """`raw` as a JSON object whose fields are all in `keys`; `where` is
+    its dotted prefix, empty for the top level."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"expected a JSON object, got {raw}", field=where[:-1] or "config")
+    for key in raw:
+        if key not in keys:
+            raise ConfigError("unknown field", field=f"{where}{key}")
+    return raw
+
+
+def _as_number(value, field: str, kind: type = Decimal):
+    """A config value as a Decimal, int or float. Numbers and numeric
+    strings are accepted; booleans, anything else, NaN, values outside the
+    float range and, for int, values that are not whole name the field."""
     try:
+        if isinstance(value, bool) or not isinstance(value, (int, float, str, Decimal)):
+            raise ValueError
         number = to_decimal(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"expected a number, got {value!r}", field=field) from None
-    if not number.is_finite():
-        raise ConfigError(f"expected a finite number, got {value!r}", field=field)
-    return number
+    except ValueError:
+        raise ConfigError(f"expected a number, got {value}", field=field) from None
+    if not (number.is_finite() and math.isfinite(float(number))):
+        raise ConfigError(f"expected a finite number, got {value}", field=field)
+    if kind is int and number != number.to_integral_value():
+        raise ConfigError(f"expected a whole number, got {value}", field=field)
+    return kind(number)
+
+
+def _number(section: dict, key: str, where: str, kind: type = Decimal, default=_REQUIRED):
+    """section[key] read by `_as_number`. An absent field, or a null one
+    whose default is null, gives the default."""
+    value = _require(section, key, where) if default is _REQUIRED else section.get(key, default)
+    return default if value is default else _as_number(value, f"{where}{key}", kind)
+
+
+def _numbers(section: dict, key: str, where: str, default=_REQUIRED) -> list[Decimal]:
+    """section[key], a non-empty list, with each item read by `_as_number`."""
+    values = _require(section, key, where) if default is _REQUIRED else section.get(key, default)
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"expected a non-empty list, got {values}", field=f"{where}{key}")
+    return [_as_number(v, f"{where}{key}") for v in values]
+
+
+def _csv(base: Path, section: dict, key: str, where: str) -> bytes:
+    """The bytes of the file that section[key] names, relative to `base`."""
+    name = section[key]
+    if not (isinstance(name, str) and (base / name).is_file()):
+        raise ConfigError(f"no such file: {name!r} in {base}", field=f"{where}{key}")
+    return (base / name).read_bytes()
+
+
+def _build(field: str, make, *args, **kwargs):
+    """make(*args, **kwargs), reporting its ValueError as a ConfigError
+    that names `field`."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc), field=field) from exc
+
+
+_TOP_KEYS = (
+    "schema_version", "seed", "regime", "supporter_gate", "sold_fraction", "foreign_rate",
+    "sigma_override", "fsl", "miqado", "sweep", "path", "events", "pool",
+)
+_FSL_KEYS = ("theta", "close_factor", "spread")
 
 
 def load_config(config_path: Path, seed_override: int | None = None) -> RunConfig:
+    """Read a run config; an unreadable field raises ConfigError naming it."""
     if not config_path.exists():
         raise ConfigError(f"no such file: {config_path}", field="config")
     try:
-        raw = json.loads(config_path.read_text(encoding="utf-8"), parse_float=Decimal)
-    except json.JSONDecodeError as exc:
+        loaded = json.loads(config_path.read_text(encoding="utf-8"), parse_float=Decimal)
+    except ValueError as exc:  # also bad UTF-8 and over-long integer literals
         raise ConfigError(f"malformed JSON: {exc}", field="config") from exc
     base = config_path.parent
-
-    if raw.get("schema_version") != 1:
+    raw = _section(loaded, "", _TOP_KEYS)
+    if _number(raw, "schema_version", "", int) != 1:
         raise ConfigError("expected 1", field="schema_version")
-    seed = seed_override
-    if seed is None:
-        try:
-            seed = int(raw.get("seed", 0))
-        except (TypeError, ValueError, ArithmeticError):
-            raise ConfigError(f"expected an integer, got {raw['seed']!r}", field="seed") from None
+    seed = _number(raw, "seed", "", int, 0) if seed_override is None else seed_override
+    regime = _build("regime", Regime, _require(raw, "regime"))
 
-    regime_name = _require(raw, "regime")
-    try:
-        regime = Regime(regime_name)
-    except ValueError:
-        raise ConfigError(f"unknown regime {regime_name!r}", field="regime") from None
+    fsl_raw = _section(_require(raw, "fsl"), "fsl.", _FSL_KEYS)
+    fsl = _build("fsl", FslParams, *(_number(fsl_raw, k, "fsl.") for k in _FSL_KEYS))
 
-    fsl_raw = _require(raw, "fsl")
-    try:
-        fsl = FslParams(
-            theta=to_decimal(_require(fsl_raw, "theta", "fsl.")),
-            close_factor=to_decimal(_require(fsl_raw, "close_factor", "fsl.")),
-            spread=to_decimal(_require(fsl_raw, "spread", "fsl.")),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), field="fsl") from exc
-
-    sweep_raw = _require(raw, "sweep")
-    lambdas = [
-        _finite_decimal(v, "sweep.lambdas") for v in _require(sweep_raw, "lambdas", "sweep.")
-    ]
-    terms_hours = _require(sweep_raw, "terms_hours", "sweep.")
-    if not lambdas or not terms_hours:
-        raise ConfigError("sweep lists must be non-empty", field="sweep")
-    terms_seconds = [int(_finite_decimal(h, "sweep.terms_hours") * 3600) for h in terms_hours]
+    sweep_raw = _section(_require(raw, "sweep"), "sweep.", ("lambdas", "terms_hours"))
+    lambdas = _numbers(sweep_raw, "lambdas", "sweep.")
+    with ledger_context():
+        terms_seconds = [
+            _as_number(h * 3600, "sweep.terms_hours (in seconds)", int)
+            for h in _numbers(sweep_raw, "terms_hours", "sweep.")
+        ]
     if min(lambdas) <= 0:
         raise ConfigError("premium factors must be > 0", field="sweep.lambdas")
     if min(terms_seconds) <= 0:
         raise ConfigError("terms must be at least one second", field="sweep.terms_hours")
 
-    miq_raw = _require(raw, "miqado")
-    rescue = miq_raw.get("rescue_above_hf")
-    try:
-        miqado = MiqadoParams(
-            premium_factor=lambdas[0],
-            term_seconds=terms_seconds[0],
-            k_re=to_decimal(_require(miq_raw, "k_re", "miqado.")),
-            buffer=to_decimal(miq_raw.get("buffer", 0)),
-            rescue_above_hf=None if rescue is None else to_decimal(rescue),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), field="miqado") from exc
+    miq_raw = _section(_require(raw, "miqado"), "miqado.", ("k_re", "buffer", "rescue_above_hf"))
+    miqado = _build(
+        "miqado",
+        MiqadoParams,
+        premium_factor=lambdas[0],
+        term_seconds=terms_seconds[0],
+        k_re=_number(miq_raw, "k_re", "miqado."),
+        buffer=_number(miq_raw, "buffer", "miqado.", Decimal, Decimal(0)),
+        rescue_above_hf=_number(miq_raw, "rescue_above_hf", "miqado.", Decimal, None),
+    )
 
-    path_raw = _require(raw, "path")
-    if "csv" in path_raw:
-        csv_file = base / str(path_raw["csv"])
-        if not csv_file.exists():
-            raise ConfigError(f"no such file: {csv_file}", field="path.csv")
-        path = load_price_csv(csv_file.read_bytes())
-    elif "gbm" in path_raw:
-        g = path_raw["gbm"]
-        try:
-            path = generate_gbm(
-                GbmParams(
-                    p0=Price(to_decimal(_require(g, "p0", "path.gbm."))),
-                    mu=float(_require(g, "mu", "path.gbm.")),
-                    sigma=float(_require(g, "sigma", "path.gbm.")),
-                    dt=float(_require(g, "dt_years", "path.gbm.")),
-                    steps=int(_require(g, "steps", "path.gbm.")),
-                    seed=int(g.get("seed", seed + 1)),
-                    start_ts=int(g.get("start_ts", 0)),
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc), field="path.gbm") from exc
-    else:
+    path_raw = _section(_require(raw, "path"), "path.", ("csv", "gbm"))
+    if len(path_raw) != 1:
         raise ConfigError("need either 'csv' or 'gbm'", field="path")
+    if "csv" in path_raw:
+        path = load_price_csv(_csv(base, path_raw, "csv", "path."))
+    else:
+        at = "path.gbm."
+        g = _section(
+            path_raw["gbm"], at, ("p0", "mu", "sigma", "dt_years", "steps", "seed", "start_ts")
+        )
+        gbm = _build(
+            "path.gbm",
+            GbmParams,
+            p0=_build("path.gbm.p0", Price, _number(g, "p0", at)),
+            mu=_number(g, "mu", at, float),
+            sigma=_number(g, "sigma", at, float),
+            dt=_number(g, "dt_years", at, float),
+            steps=_number(g, "steps", at, int),
+            seed=_number(g, "seed", at, int, seed + 1),
+            start_ts=_number(g, "start_ts", at, int, 0),
+        )
+        path = _build("path.gbm", generate_gbm, gbm)
 
     pool = None
     if raw.get("pool") is not None:
-        p = raw["pool"]
-        try:
-            pool = CpAmmPool(
-                reserve_quote=to_decimal(_require(p, "reserve_quote", "pool.")),
-                reserve_base=to_decimal(_require(p, "reserve_base", "pool.")),
-                fee=to_decimal(p.get("fee", "0.003")),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc), field="pool") from exc
+        p = _section(raw["pool"], "pool.", ("reserve_quote", "reserve_base", "fee"))
+        pool = _build(
+            "pool",
+            CpAmmPool,
+            reserve_quote=_number(p, "reserve_quote", "pool."),
+            reserve_base=_number(p, "reserve_base", "pool."),
+            fee=_number(p, "fee", "pool.", Decimal, Decimal("0.003")),
+        )
 
-    events_raw = _require(raw, "events")
+    events_raw = _section(_require(raw, "events"), "events.", ("csv", "synthetic"))
+    if len(events_raw) != 1:
+        raise ConfigError("need either 'csv' or 'synthetic'", field="events")
     if "csv" in events_raw:
-        csv_file = base / str(events_raw["csv"])
-        if not csv_file.exists():
-            raise ConfigError(f"no such file: {csv_file}", field="events.csv")
-        events = load_events_csv(csv_file.read_bytes())
+        events = load_events_csv(_csv(base, events_raw, "csv", "events."))
         if pool is not None:
             for ev in events:
                 ev.amm_pool = pool.copy()
-    elif "synthetic" in events_raw:
-        syn = events_raw["synthetic"]
-        try:
-            events = synthesize_events(
-                path,
-                theta=fsl.theta,
-                count=int(_require(syn, "count", "events.synthetic.")),
-                seed=int(syn.get("seed", seed + 2)),
-                hf_band=tuple(syn.get("hf_band", ("0.90", "0.9999"))),
-                collateral=to_decimal(syn.get("collateral", 1)),
-                borrow_rate=to_decimal(syn.get("borrow_rate", "0.05")),
-                max_term_seconds=max(terms_seconds),
-                amm_pool=pool,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc), field="events.synthetic") from exc
     else:
-        raise ConfigError("need either 'csv' or 'synthetic'", field="events")
-
-    sold_fraction = _finite_decimal(raw.get("sold_fraction", 1), "sold_fraction")
-    if not 0 <= sold_fraction <= 1:
-        raise ConfigError(f"must lie in [0, 1], got {sold_fraction}", field="sold_fraction")
-    supporter_gate = raw.get("supporter_gate", True)
-    if not isinstance(supporter_gate, bool):
-        raise ConfigError(
-            f"expected true or false, got {supporter_gate!r}", field="supporter_gate"
+        at = "events.synthetic."
+        syn = _section(
+            events_raw["synthetic"], at, ("count", "seed", "hf_band", "collateral", "borrow_rate")
+        )
+        hf_band = _numbers(syn, "hf_band", at, ["0.90", "0.9999"])
+        if len(hf_band) != 2:
+            raise ConfigError("expected [low, high]", field=f"{at}hf_band")
+        events = _build(
+            "events.synthetic",
+            synthesize_events,
+            path,
+            theta=fsl.theta,
+            count=_number(syn, "count", at, int),
+            seed=_number(syn, "seed", at, int, seed + 2),
+            hf_band=tuple(hf_band),
+            collateral=_number(syn, "collateral", at, Decimal, Decimal(1)),
+            borrow_rate=_number(syn, "borrow_rate", at, Decimal, Decimal("0.05")),
+            max_term_seconds=max(terms_seconds),
+            amm_pool=pool,
         )
 
-    sigma_override = raw.get("sigma_override")
-    return RunConfig(
-        seed=seed,
-        regime=regime,
+    gate = raw.get("supporter_gate", True)
+    if not isinstance(gate, bool):
+        raise ConfigError(f"expected true or false, got {gate!r}", field="supporter_gate")
+    return _build(
+        "sold_fraction",
+        RunConfig,
+        events=events,
+        path=path,
         fsl=fsl,
         miqado=miqado,
+        regime=regime,
+        sold_fraction=_number(raw, "sold_fraction", "", Decimal, Decimal(1)),
+        supporter_gate=gate,
+        foreign_rate=_number(raw, "foreign_rate", "", float, 0.0),
+        sigma_override=_number(raw, "sigma_override", "", float, None),
+        seed=seed,
         sweep_lambdas=lambdas,
         sweep_terms_seconds=terms_seconds,
-        sold_fraction=sold_fraction,
-        supporter_gate=supporter_gate,
-        foreign_rate=float(raw.get("foreign_rate", 0)),
-        sigma_override=None if sigma_override is None else float(sigma_override),
-        path=path,
-        events=events,
     )
 
 
@@ -355,18 +384,7 @@ def _metrics_csv(sweep: SweepResult) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_config(Path(args.config), seed_override=args.seed)
-    scenario = Scenario(
-        events=config.events,
-        path=config.path,
-        fsl=config.fsl,
-        miqado=config.miqado,
-        regime=config.regime,
-        sold_fraction=config.sold_fraction,
-        supporter_gate=config.supporter_gate,
-        foreign_rate=config.foreign_rate,
-        sigma_override=config.sigma_override,
-    )
-    sweep = run_sweep(scenario, config.sweep_lambdas, config.sweep_terms_seconds)
+    sweep = run_sweep(config, config.sweep_lambdas, config.sweep_terms_seconds)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -68,8 +68,10 @@ def to_decimal(value: Numeric) -> Decimal:
 
 
 def quantize(value: Decimal) -> Decimal:
-    """Round to the 18-fractional-digit report grid (half-even)."""
-    with ledger_context():
+    """Round to the 18-fractional-digit report grid (half-even), keeping
+    every integer digit even of values too large for the ledger precision."""
+    with ledger_context() as ctx:
+        ctx.prec = max(LEDGER_PRECISION, value.adjusted() + 19)
         q = value.quantize(QUANTUM)
     if q == 0:
         q = abs(q)  # normalize -0
@@ -139,14 +141,6 @@ class Amount:
             raise ValueError("scale factor must be non-negative")
         with ledger_context():
             return Amount(self.value * f, self.unit)
-
-    def __lt__(self, other: "Amount") -> bool:
-        self._check_unit(other)
-        return self.value < other.value
-
-    def __le__(self, other: "Amount") -> bool:
-        self._check_unit(other)
-        return self.value <= other.value
 
     def is_zero(self) -> bool:
         return self.value == 0

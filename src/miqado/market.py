@@ -144,8 +144,8 @@ class GbmParams:
             raise ValueError("dt must be > 0")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if round(self.dt * SECONDS_PER_YEAR) < 1:
-            raise ValueError("dt is below one second of resolution")
+        if not 0.5 < self.dt * SECONDS_PER_YEAR < math.inf:  # rounds to >= 1 s
+            raise ValueError("dt is below one second of resolution or not finite")
 
 
 def _open_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -159,21 +159,25 @@ def generate_gbm(params: GbmParams) -> PricePath:
 
     z_i are standard normals from ndtri over PCG64 uniforms. Identical
     seeds give identical paths. With sigma == 0 the closed form
-    p_i = p0 * exp(mu * i * dt) is used directly.
+    p_i = p0 * exp(mu * i * dt) is used directly. A price that overflows
+    or leaves (0, inf) raises ValueError.
     """
     step_seconds = round(params.dt * SECONDS_PER_YEAR)
     p0 = float(params.p0.value)
     stamps = [params.start_ts + i * step_seconds for i in range(params.steps + 1)]
-    if params.sigma == 0:
-        values = [p0 * math.exp(params.mu * i * params.dt) for i in range(params.steps + 1)]
-    else:
-        rng = np.random.Generator(np.random.PCG64(params.seed))
-        z = ndtri(_open_uniforms(rng, params.steps))
-        drift = (params.mu - 0.5 * params.sigma * params.sigma) * params.dt
-        vol = params.sigma * math.sqrt(params.dt)
-        values = [p0]
-        for zi in z:
-            values.append(values[-1] * math.exp(drift + vol * float(zi)))
+    try:
+        if params.sigma == 0:
+            values = [p0 * math.exp(params.mu * i * params.dt) for i in range(params.steps + 1)]
+        else:
+            rng = np.random.Generator(np.random.PCG64(params.seed))
+            z = ndtri(_open_uniforms(rng, params.steps))
+            drift = (params.mu - 0.5 * params.sigma * params.sigma) * params.dt
+            vol = params.sigma * math.sqrt(params.dt)
+            values = [p0]
+            for zi in z:
+                values.append(values[-1] * math.exp(drift + vol * float(zi)))
+    except OverflowError:
+        raise ValueError("a price overflows; mu, sigma or dt is too large") from None
     return PricePath.from_pairs(zip(stamps, (Decimal(repr(v)) for v in values)))
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
-from fractions import Fraction
 
 from .core import (
     SECONDS_PER_YEAR,
@@ -31,7 +30,6 @@ from .core import (
     BorrowingPosition,
     Numeric,
     Price,
-    collateralization_ratio,
     health_factor,
     ledger_context,
     to_decimal,
@@ -44,14 +42,6 @@ from .errors import (
     TooLateError,
 )
 from .option import optimal_premium_factor
-
-
-class MiqadoMode(Enum):
-    #: Support replaces liquidation entirely; the window is health factor < 1.
-    PURE = "pure"
-    #: Support runs alongside fixed-spread liquidation; the window is the
-    #: support factor CR * (theta + buffer) < 1.
-    HYBRID = "hybrid"
 
 
 class SessionState(Enum):
@@ -68,8 +58,9 @@ class MiqadoParams:
     premium_factor: top-up fraction lambda of the position's collateral.
     term_seconds: option lifetime.
     k_re: borrower reimbursement factor in (0, 1).
-    buffer: hybrid-mode addition to theta in the support factor. Kept as a
-        free non-negative parameter; small values are the useful range.
+    buffer: addition to theta in the engagement window
+        CR * (theta + buffer) < 1; non-negative, small values are the
+        useful range. Buffer 0 makes the window the liquidation threshold.
     rescue_above_hf: borrower policy. None means the borrower never
         terminates; a threshold means they terminate at the first price
         where the topped-up health factor reaches it.
@@ -79,7 +70,6 @@ class MiqadoParams:
     term_seconds: int
     k_re: Decimal
     buffer: Decimal = Decimal("0")
-    mode: MiqadoMode = MiqadoMode.HYBRID
     rescue_above_hf: Decimal | None = None
 
     def __post_init__(self):
@@ -110,8 +100,6 @@ class MiqadoSession:
     position_id: str
     topup: Amount  # collateral units, lambda * C_t0
     premium_value: Amount  # debt units, lambda * C_t0 * p_t0
-    collateral_at_start: Amount
-    price_at_start: Price
     borrow_rate: Decimal
     started: int
     maturity: int
@@ -129,30 +117,20 @@ class SettlementOutcome:
     state: SessionState
     supporter_payoff: Decimal
     borrower_cost: Decimal
-    collateral_disposition: str
     premium_value: Decimal
     supporter_receipt_collateral: Decimal
-
-
-def support_factor(pos: BorrowingPosition, p: Price, theta: Numeric, buffer: Numeric) -> Fraction:
-    """CR * (theta + buffer): below one, supporters may engage (hybrid)."""
-    return collateralization_ratio(pos, p) * (
-        Fraction(to_decimal(theta)) + Fraction(to_decimal(buffer))
-    )
 
 
 def can_initiate(
     pos: BorrowingPosition, p: Price, theta: Numeric, params: MiqadoParams
 ) -> bool:
-    """Engagement window test.
-
-    Pure mode opens when the health factor is strictly below one. Hybrid
-    mode opens when the support factor CR * (theta + buffer) is strictly
-    below one.
+    """Engagement window test: the health factor at the discount
+    theta + buffer, which is exactly CR * (theta + buffer), is strictly
+    below one. With buffer 0 this is the liquidation threshold HF < 1.
     """
-    if params.mode is MiqadoMode.PURE:
-        return health_factor(pos, p, theta) < 1
-    return support_factor(pos, p, theta, params.buffer) < 1
+    with ledger_context():
+        discount = to_decimal(theta) + params.buffer
+    return health_factor(pos, p, discount) < 1
 
 
 def initiate(
@@ -182,8 +160,6 @@ def initiate(
         position_id=pos.id,
         topup=topup,
         premium_value=Amount.debt(premium_value),
-        collateral_at_start=pos.collateral,
-        price_at_start=p,
         borrow_rate=pos.borrow_rate,
         started=now,
         maturity=now + params.term_seconds,
@@ -231,10 +207,6 @@ def terminate(
         state=SessionState.TERMINATED,
         supporter_payoff=payoff,
         borrower_cost=reimbursement,
-        collateral_disposition=(
-            "top-up returned to supporter plus borrower reimbursement; "
-            "position collateral restored"
-        ),
         premium_value=session.premium_value.value,
         supporter_receipt_collateral=receipt,
     )
@@ -275,7 +247,6 @@ def settle_at_maturity(
             state=SessionState.EXERCISED,
             supporter_payoff=payoff,
             borrower_cost=Decimal(0),
-            collateral_disposition="full takeover: supporter repaid the debt and received all collateral",
             premium_value=session.premium_value.value,
             supporter_receipt_collateral=receipt,
         )
@@ -287,7 +258,6 @@ def settle_at_maturity(
         state=SessionState.DEFAULTED,
         supporter_payoff=payoff,
         borrower_cost=Decimal(0),
-        collateral_disposition="default: top-up remains in the position's collateral",
         premium_value=session.premium_value.value,
         supporter_receipt_collateral=Decimal(0),
     )

@@ -54,7 +54,6 @@ from .errors import CsvFormatError, MiqadoError, ScenarioError
 from .market import CpAmmPool, PricePath, direct_price_decline
 from .option import historical_volatility
 from .protocol import (
-    MiqadoMode,
     MiqadoParams,
     SessionState,
     can_initiate,
@@ -80,6 +79,7 @@ CLASS_EXERCISE_LOSS = "exercise_loss"
 CLASS_DEFAULT = "default"
 
 _MATURITY_CLASSES = (CLASS_EXERCISE_PROFIT, CLASS_EXERCISE_LOSS, CLASS_DEFAULT)
+_CLASSES = (CLASS_FSL, CLASS_INELIGIBLE, CLASS_DECLINED, CLASS_TERMINATED, *_MATURITY_CLASSES)
 
 
 class Regime(Enum):
@@ -313,7 +313,7 @@ def payoff_rows(rows: Iterable[OutcomeRow]) -> list[PayoffRow]:
     a session belong to no maturity class and count in no row."""
     groups: dict[tuple[int, Decimal], list[OutcomeRow]] = {}
     for r in rows:
-        if r.outcome_class in _MATURITY_CLASSES and r.supporter_payoff is not None:
+        if r.outcome_class in _MATURITY_CLASSES:
             groups.setdefault((r.term_seconds, r.premium_factor), []).append(r)
     return [_payoff_row(lam, term, settled) for (term, lam), settled in sorted(groups.items())]
 
@@ -382,12 +382,13 @@ class TriggerFacts:
 
 @contextmanager
 def _event_errors(idx: int):
-    """Re-raise module errors as ScenarioError with the event index attached."""
+    """Re-raise module errors, and the ValueError or ArithmeticError of a
+    model input out of range, as ScenarioError with the event index."""
     try:
         yield
     except ScenarioError:
         raise
-    except MiqadoError as exc:
+    except (MiqadoError, ValueError, ArithmeticError) as exc:
         raise ScenarioError(idx, str(exc)) from exc
 
 
@@ -454,12 +455,11 @@ def run_scenario(scenario: Scenario, facts: TriggerFacts | None = None) -> Metri
     s = scenario
     if facts is None:
         facts = trigger_facts(s)
-    # The engagement-window formula follows the regime, not whatever mode
-    # the params happened to carry.
-    params = replace(
-        s.miqado,
-        mode=MiqadoMode.PURE if s.regime is Regime.MIQADO_ONLY else MiqadoMode.HYBRID,
-    )
+    # The regime alone sets the engagement window: without liquidation it
+    # is the liquidation threshold HF < 1, i.e. buffer 0.
+    params = s.miqado
+    if s.regime is Regime.MIQADO_ONLY:
+        params = replace(params, buffer=Decimal(0))
     needs_gate = s.supporter_gate and s.regime is not Regime.FSL_ONLY
     sigma = 0.0
     if needs_gate:
@@ -818,6 +818,10 @@ def load_outcomes_csv(data: bytes | str) -> list[OutcomeRow]:
         parts = raw.split(",")
         if len(parts) != 10:
             raise CsvFormatError(f"expected 10 fields, got {len(parts)}", line=lineno)
+        if parts[4] not in _CLASSES:
+            raise CsvFormatError(f"unknown outcome_class {parts[4]!r}", line=lineno)
+        if parts[4] in _MATURITY_CLASSES and not parts[5]:
+            raise CsvFormatError(f"{parts[4]} row without a supporter_payoff", line=lineno)
         try:
             rows.append(
                 OutcomeRow(

@@ -28,7 +28,6 @@ from miqado.errors import SessionStateError
 from miqado.market import PricePath, pool_from_price_impact, direct_price_decline
 from miqado.option import BsInputs, bs_call_price, std_normal_cdf
 from miqado.protocol import (
-    MiqadoMode,
     MiqadoParams,
     SessionState,
     initiate,
@@ -163,7 +162,7 @@ def test_4_protocol_invariants_randomized():
         if health_factor(pos, price, theta) >= 1:
             continue
         params = MiqadoParams(
-            premium_factor=lam, term_seconds=3600, k_re=k_re, mode=MiqadoMode.PURE
+            premium_factor=lam, term_seconds=3600, k_re=k_re
         )
         hf_before = health_factor(pos, price, theta)
         session = initiate(pos, price, theta, params, now=0)

@@ -5,16 +5,21 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miqado.cli import load_config, main
 from miqado.market import load_price_csv
-from miqado.sim import serialize_events_csv
+from miqado.sim import Regime, serialize_events_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
+README = Path(__file__).parents[1] / "README.md"
+GBM = {"p0": "100", "mu": 0.0, "sigma": 8.0, "dt_years": 0.00011415525114155251, "steps": 240}
 
 #: sha256 of each `simulate` output for config_sweep.json.
 SWEEP_DIGESTS = {
@@ -139,6 +144,25 @@ class TestGbm:
         assert flag in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            pytest.param(("--mu", "1e308", "--sigma", "0.5", "--dt", "0.001"), id="mu=1e308"),
+            pytest.param(("--mu", "1000", "--sigma", "0", "--dt", "1"), id="sigma=0-overflow"),
+            pytest.param(
+                ("--p0", "1e300", "--mu", "500", "--sigma", "0.1", "--dt", "1"), id="price=inf"
+            ),
+            pytest.param(("--mu", "-100000", "--sigma", "0.1", "--dt", "1"), id="price=0"),
+            pytest.param(("--sigma", "0.1", "--dt", "1e308"), id="dt=1e308"),
+            pytest.param(("--sigma", "0.1", "--dt", "0.001", "--seed", "-1"), id="seed=-1"),
+        ],
+    )
+    def test_path_out_of_range_is_usage_error(self, capsys, flags):
+        code, out, err = run_cli(capsys, "gbm", "--p0", "100", "--steps", "3", *flags)
+        assert code == 2
+        assert "usage error" in err
+        assert out == ""
+
     def test_invalid_dt_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "gbm", "--p0", "100", "--sigma", "0.5",
@@ -220,6 +244,47 @@ class TestSimulate:
             ),
             pytest.param(("seed",), "x", ("seed",), id="seed=x"),
             pytest.param(("sold_fraction",), "2", ("sold_fraction",), id="sold_fraction=2"),
+            pytest.param(("foreign_rate",), "abc", ("foreign_rate",), id="foreign_rate=abc"),
+            pytest.param(("sigma_override",), "abc", ("sigma_override",), id="sigma_override=abc"),
+            pytest.param(("fsl", "theta"), "NaN", ("fsl.theta",), id="fsl.theta=NaN"),
+            pytest.param(("miqado", "k_re"), "NaN", ("miqado.k_re",), id="k_re=NaN"),
+            pytest.param(
+                ("pool",),
+                {"reserve_quote": "NaN", "reserve_base": "100000"},
+                ("pool.reserve_quote",),
+                id="pool.reserve_quote=NaN",
+            ),
+            pytest.param(("miqado", "buffer"), "Infinity", ("miqado.buffer",), id="buffer=Infinity"),
+            pytest.param(("sweep", "lambdas"), ["1e400"], ("sweep.lambdas",), id="lambdas=1e400"),
+            pytest.param(("seed",), 5.7, ("seed",), id="seed=5.7"),
+            pytest.param(
+                ("path",), {"gbm": dict(GBM, steps=2.9)}, ("path.gbm.steps",), id="steps=2.9"
+            ),
+            pytest.param(
+                ("events",),
+                {"synthetic": {"count": 2.5}},
+                ("events.synthetic.count",),
+                id="count=2.5",
+            ),
+            pytest.param(
+                ("sweep", "terms_hours"), [1.0001], ("sweep.terms_hours",), id="terms_hours=1.0001"
+            ),
+            pytest.param(("sold_fraction",), True, ("sold_fraction",), id="sold_fraction=true"),
+            pytest.param(
+                ("sweep", "terms_hours"), [True], ("sweep.terms_hours",), id="terms_hours=true"
+            ),
+            pytest.param(("foreign_rate",), math.nan, ("foreign_rate",), id="foreign_rate=NaN"),
+            pytest.param(
+                ("foreign_rate",), "Infinity", ("foreign_rate",), id="foreign_rate=Infinity"
+            ),
+            pytest.param(("unknown_key",), 1, ("unknown_key",), id="unknown_key"),
+            pytest.param(("fsl", "extra"), "1", ("fsl.extra",), id="fsl.extra"),
+            pytest.param(
+                ("miqado", "rescue_above_h"), "1.0", ("miqado.rescue_above_h",), id="rescue_typo"
+            ),
+            pytest.param(
+                ("path",), {"gbm": dict(GBM, mu=1e308)}, ("path.gbm",), id="path.gbm.mu=1e308"
+            ),
         ],
     )
     def test_invalid_config_names_field(self, capsys, tmp_path, keys, value, names):
@@ -237,6 +302,46 @@ class TestSimulate:
         assert code == 1
         assert all(name in err for name in names)
         assert not (tmp_path / "report.json").exists()
+
+    def test_config_that_is_not_an_object_is_named(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2]")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(bad), "--out", str(tmp_path))
+        assert code == 1
+        assert "config" in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("style", ["omitted", "explicit"])
+    def test_optional_fields_take_documented_defaults(self, capsys, tmp_path, style):
+        config = json.loads((FIXTURES / "config_sweep.json").read_text())
+        if style == "omitted":
+            del config["foreign_rate"], config["miqado"]["buffer"], config["pool"]["fee"]
+            del config["events"]["synthetic"]["collateral"]
+            del config["events"]["synthetic"]["borrow_rate"]
+        else:
+            config.update(foreign_rate=0, sigma_override=None)
+            config["miqado"].update(buffer="0", rescue_above_hf=None)
+            config["path"]["gbm"].update(seed=101, start_ts=0)
+            config["events"]["synthetic"].update(
+                seed=102, hf_band=["0.90", "0.9999"], collateral="1", borrow_rate="0.05"
+            )
+            config["pool"]["fee"] = "0.003"
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--config", str(tmp_path / "config.json"), "--out", str(out)
+        )
+        assert code == 0
+        for name, digest in SWEEP_DIGESTS.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    def test_readme_example_loads(self, tmp_path):
+        example = README.read_text().split("```json\n", 1)[1].split("```", 1)[0]
+        (tmp_path / "config.json").write_text(example)
+        config = load_config(tmp_path / "config.json")
+        assert config.regime is Regime.HYBRID
+        assert config.sweep_terms_seconds == [3600, 6 * 3600, 24 * 3600]
+        assert len(config.events) == 50
 
     def test_missing_sweep_field_named(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -284,6 +389,29 @@ class TestAnalyze:
         assert abs(drift) <= (len(events) * len(cells) + len(cells)) * slack
         assert summary["n_events"] == len(events)
 
+    @pytest.mark.parametrize(
+        "column, value",
+        [pytest.param(5, "", id="blank_payoff"), pytest.param(4, "bogus_class", id="bogus_class")],
+    )
+    def test_malformed_outcome_row_names_line(self, capsys, tmp_path, column, value):
+        config = FIXTURES / "config_hand.json"
+        run_cli(capsys, "simulate", "--config", str(config), "--out", str(tmp_path))
+        (tmp_path / "events.csv").write_text(serialize_events_csv(load_config(config).events))
+        lines = (tmp_path / "outcomes.csv").read_text().splitlines()
+        index = next(i for i, line in enumerate(lines) if ",exercise_profit," in line)
+        parts = lines[index].split(",")
+        parts[column] = value
+        lines[index] = ",".join(parts)
+        (tmp_path / "outcomes.csv").write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(
+            capsys, "analyze",
+            "--events", str(tmp_path / "events.csv"),
+            "--outcomes", str(tmp_path / "outcomes.csv"),
+        )
+        assert code == 1
+        assert f"line {index + 1}" in err
+        assert out == ""
+
     def test_missing_file_is_runtime_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "analyze", "--events", str(tmp_path / "x.csv"),
@@ -291,6 +419,43 @@ class TestAnalyze:
         )
         assert code == 1
         assert "x.csv" in err
+
+
+def _field_paths(value, prefix=()):
+    """The path of every field nested in a JSON value, lists included."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _field_paths(child, prefix + (key,))
+
+
+HAND_CONFIG = json.loads((FIXTURES / "config_hand.json").read_text())
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=75, deadline=None)
+    @given(field=st.sampled_from(list(_field_paths(HAND_CONFIG))), value=json_values)
+    def test_any_field_value_exits_0_or_1(self, field, value):
+        config = json.loads(json.dumps(HAND_CONFIG))
+        target = config
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp_dir = Path(tmp)
+            for name in ("path_hand.csv", "events_hand.csv"):
+                (tmp_dir / name).write_text((FIXTURES / name).read_text())
+            (tmp_dir / "config.json").write_text(json.dumps(config))
+            code = main(["simulate", "--config", str(tmp_dir / "config.json"),
+                         "--out", str(tmp_dir / "out")])
+        assert code in (0, 1)
 
 
 class TestEntryPoint:

@@ -256,3 +256,16 @@ class TestAmountAndPrice:
             make_pos(debt="0")
         with pytest.raises(ValueError):
             make_pos(rate="1.5")
+
+
+class TestQuantize:
+    def test_half_even_on_report_grid(self):
+        assert quantize(Decimal("0.0000000000000000025")) == Decimal("2E-18")
+        assert quantize(Decimal("-0.0000000000000000001")) == Decimal("0E-18")
+
+    def test_keeps_digits_beyond_ledger_precision(self):
+        # 10**70 + 0.5 on the 1e-18 grid needs 89 digits, more than the
+        # 80 of the ledger context
+        value = Decimal("1" + "0" * 70 + ".5")
+        assert quantize(value) == value
+        assert str(quantize(value)).endswith(".500000000000000000")

@@ -31,7 +31,6 @@ from miqado.option import (
     std_normal_cdf,
 )
 from miqado.protocol import (
-    MiqadoMode,
     MiqadoParams,
     SessionState,
     initiate,
@@ -73,7 +72,7 @@ def takeover_session(debt="100", collateral="80", lam="0.25", p0="0.25", rate="0
         borrow_rate=Decimal(rate),
     )
     params = MiqadoParams(
-        premium_factor=Decimal(lam), term_seconds=HOUR, k_re=Decimal(k_re), mode=MiqadoMode.PURE
+        premium_factor=Decimal(lam), term_seconds=HOUR, k_re=Decimal(k_re)
     )
     session = initiate(pos, Price(Decimal(p0)), Decimal("0.8"), params, now=0)
     return pos, session, params

@@ -17,7 +17,6 @@ from miqado.errors import (
     TooLateError,
 )
 from miqado.protocol import (
-    MiqadoMode,
     MiqadoParams,
     SessionState,
     can_initiate,
@@ -40,9 +39,9 @@ def make_pos(debt="100", collateral="100", rate="0.05", pid="b1"):
     )
 
 
-def params(lam="0.1", term=HOUR, k_re="0.5", mode=MiqadoMode.PURE, **kw):
+def params(lam="0.1", term=HOUR, k_re="0.5", **kw):
     return MiqadoParams(
-        premium_factor=Decimal(lam), term_seconds=term, k_re=Decimal(k_re), mode=mode, **kw
+        premium_factor=Decimal(lam), term_seconds=term, k_re=Decimal(k_re), **kw
     )
 
 
@@ -62,15 +61,16 @@ class TestCanInitiate:
     def test_hybrid_support_factor(self):
         # CR = 1.1, theta+buffer = 0.85 -> support factor 0.935 < 1
         pos = make_pos("100", "110")
-        p = params(mode=MiqadoMode.HYBRID, buffer=Decimal("0.05"))
+        p = params(buffer=Decimal("0.05"))
         assert can_initiate(pos, Price(Decimal(1)), THETA, p)
 
     def test_hybrid_window_closed(self):
-        # CR = 1.2 -> support factor 1.02 >= 1, even though HF = 0.96 < 1
+        # CR = 1.2 -> support factor 1.02 >= 1 at buffer 0.05, even though
+        # HF = 0.96 < 1, which is the window at buffer 0
         pos = make_pos("100", "120")
-        p = params(mode=MiqadoMode.HYBRID, buffer=Decimal("0.05"))
+        p = params(buffer=Decimal("0.05"))
         assert not can_initiate(pos, Price(Decimal(1)), THETA, p)
-        assert can_initiate(pos, Price(Decimal(1)), THETA, params())
+        assert can_initiate(pos, Price(Decimal(1)), THETA, params(buffer=Decimal(0)))
 
 
 class TestInitiate:
@@ -268,7 +268,6 @@ class TestSupporterDecision:
             premium_factor=Decimal(repr(lam_star)),
             term_seconds=31_536_000,
             k_re=Decimal("0.5"),
-            mode=MiqadoMode.PURE,
         )
         assert supporter_decision(pos, Price(Decimal(1)), Decimal("0.8"), prm, sigma=0.0)
 

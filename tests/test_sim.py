@@ -532,6 +532,14 @@ class TestSupporterGate:
         assert declined.supporter_payoff is None
         assert declined.restraint_usd == 0
 
+    def test_model_input_out_of_range_names_event(self):
+        # exp(-foreign_rate * term) overflows a float in the option value
+        s = self.gated_scenario(Regime.MIQADO_ONLY, "0.05")
+        s.foreign_rate = -1e6
+        with pytest.raises(ScenarioError) as err:
+            run_scenario(s)
+        assert err.value.event_index == 0
+
     def test_sigma_estimated_from_path_when_not_overridden(self):
         # flat path: estimated sigma is 0; with the debt above the spot's
         # forward value the takeover right is worthless, so all decline
@@ -542,6 +550,35 @@ class TestSupporterGate:
         ]
         report = run_scenario(s)
         assert report.class_counts == {"declined": 3}
+
+
+class TestRegimeSetsWindow:
+    """Debt 100, collateral 120, theta 0.8 at p 1: HF 0.96 < 1, but with
+    buffer 0.05 the window CR * (theta + buffer) = 1.02 is closed. Only
+    hybrid keeps the buffer; miqado_only opens at HF < 1."""
+
+    def scenario(self, regime):
+        return Scenario(
+            events=[LiquidationEvent(position=pos("100", "120"), path_offset=0)],
+            path=PricePath.from_pairs([(0, "1"), (HOUR, "1")]),
+            fsl=FSL,
+            miqado=miq(term=HOUR, buffer=Decimal("0.05")),
+            regime=regime,
+            supporter_gate=False,
+        )
+
+    def test_miqado_only_initiates_below_hf_one(self):
+        report = run_scenario(self.scenario(Regime.MIQADO_ONLY))
+        # top-up 12 at p 1; at maturity 132 >= 100: exercised
+        assert report.class_counts == {"exercise_profit": 1}
+        assert report.collateral_restraint_usd == 12
+
+    def test_hybrid_buffer_closes_window_and_liquidates(self):
+        report = run_scenario(self.scenario(Regime.HYBRID))
+        # repay 50, seize 52.5 at p 1
+        assert report.class_counts == {"ineligible": 1}
+        assert report.collateral_release_usd.quantize(Decimal("1e-15")) == Decimal("52.5")
+        assert report.collateral_restraint_usd == 0
 
 
 class TestPureModeNewRound:
