@@ -13,16 +13,18 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
-from .core import Amount, FslParams, Price, ledger_context, to_decimal
+from .core import Amount, FslParams, Price, ledger_context, to_decimal, write_csv
 from .errors import ConfigError, MiqadoError
 from .market import CpAmmPool, GbmParams, generate_gbm, load_price_csv, serialize_price_csv
 from .option import BsInputs, bs_call_price, optimal_premium_factor
 from .protocol import MiqadoParams
 from .sim import (
+    _CLASSES,
+    PayoffRow,
     Regime,
     Scenario,
     SweepResult,
@@ -36,16 +38,16 @@ from .sim import (
     synthesize_events,
 )
 
-PAYOFF_TABLE_CSV_HEADER = (
-    "premium_factor,term_seconds,n,p_exercise_profit,p_exercise_loss,p_default,"
-    "mean_payoff,std_payoff"
+#: payoff_table.csv has one column per PayoffRow field, in field order.
+PAYOFF_TABLE_CSV_HEADER = ",".join(f.name for f in fields(PayoffRow))
+#: The metrics.csv columns that copy a cell report's JSON field of the
+#: same name; the cell's grid values come first, its class counts last.
+_METRICS_REPORT_FIELDS = (
+    "n_events", "collateral_release_usd", "collateral_restraint_usd", "fsl_baseline_release_usd",
+    "release_reduction", "healthy_fraction_fsl", "healthy_fraction_miqado",
 )
-METRICS_CSV_HEADER = (
-    "premium_factor,term_seconds,n_events,collateral_release_usd,"
-    "collateral_restraint_usd,fsl_baseline_release_usd,release_reduction,"
-    "healthy_fraction_fsl,healthy_fraction_miqado,"
-    "n_fsl,n_ineligible,n_declined,n_terminated,n_exercise_profit,"
-    "n_exercise_loss,n_default"
+METRICS_CSV_HEADER = ",".join(
+    ["premium_factor", "term_seconds", *_METRICS_REPORT_FIELDS, *(f"n_{c}" for c in _CLASSES)]
 )
 
 
@@ -244,6 +246,9 @@ def load_config(config_path: Path, seed_override: int | None = None) -> RunConfi
         raise ConfigError("premium factors must be > 0", field="sweep.lambdas")
     if min(terms_seconds) <= 0:
         raise ConfigError("terms must be at least one second", field="sweep.terms_hours")
+    for values, name in ((lambdas, "sweep.lambdas"), (terms_seconds, "sweep.terms_hours")):
+        if len(set(values)) != len(values):
+            raise ConfigError("values must be distinct", field=name)
 
     miq_raw = _section(_require(raw, "miqado"), "miqado.", ("k_re", "buffer", "rescue_above_hf"))
     miqado = _build(
@@ -342,44 +347,16 @@ def load_config(config_path: Path, seed_override: int | None = None) -> RunConfi
 
 
 def _payoff_table_csv(sweep: SweepResult) -> str:
-    lines = [PAYOFF_TABLE_CSV_HEADER]
-    for row in sweep.payoff_rows:
-        lines.append(
-            f"{row.premium_factor},{row.term_seconds},{row.n},"
-            f"{row.p_exercise_profit},{row.p_exercise_loss},{row.p_default},"
-            f"{row.mean_payoff},{row.std_payoff}"
-        )
-    return "\n".join(lines) + "\n"
+    return write_csv(PAYOFF_TABLE_CSV_HEADER, map(astuple, sweep.payoff_rows))
 
 
 def _metrics_csv(sweep: SweepResult) -> str:
-    lines = [METRICS_CSV_HEADER]
+    rows = []
     for lam, term, rep in sweep.cells:
         d = rep.to_json_dict()
-        counts = rep.class_counts
-        lines.append(
-            ",".join(
-                [
-                    str(lam),
-                    str(term),
-                    str(rep.n_events),
-                    d["collateral_release_usd"],
-                    d["collateral_restraint_usd"],
-                    d["fsl_baseline_release_usd"],
-                    d["release_reduction"] if d["release_reduction"] is not None else "",
-                    d["healthy_fraction_fsl"],
-                    d["healthy_fraction_miqado"],
-                    str(counts.get("fsl", 0)),
-                    str(counts.get("ineligible", 0)),
-                    str(counts.get("declined", 0)),
-                    str(counts.get("terminated", 0)),
-                    str(counts.get("exercise_profit", 0)),
-                    str(counts.get("exercise_loss", 0)),
-                    str(counts.get("default", 0)),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+        counts = (rep.class_counts.get(c, 0) for c in _CLASSES)
+        rows.append([lam, term, *(d[key] for key in _METRICS_REPORT_FIELDS), *counts])
+    return write_csv(METRICS_CSV_HEADER, rows)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

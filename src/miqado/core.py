@@ -15,6 +15,9 @@ hold exactly, not merely to the last retained digit.
 
 Timestamps are integer Unix seconds throughout the package; durations are
 converted to years by dividing by `SECONDS_PER_YEAR`.
+
+Every CSV wire format is read by `read_csv`, whose decimal cells go
+through `csv_decimal`, and written by `write_csv`.
 """
 
 from __future__ import annotations
@@ -24,10 +27,11 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, InvalidOperation, localcontext
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Iterable, TypeVar, Union
 
 from .errors import (
     CloseFactorViolationError,
+    CsvFormatError,
     NotLiquidatableError,
     UndefinedHealthError,
     UnitMismatchError,
@@ -45,6 +49,7 @@ QUANTUM = Decimal("1E-18")
 _LEDGER_CTX = Context(prec=LEDGER_PRECISION)
 
 Numeric = Union[Decimal, int, str, float]
+T = TypeVar("T")
 
 
 def ledger_context():
@@ -81,6 +86,57 @@ def quantize(value: Decimal) -> Decimal:
 def dec_str(value: Decimal) -> str:
     """Fixed-point 18-digit rendering for reports ('0.000...' not '0E-18')."""
     return format(quantize(value), "f")
+
+
+def csv_decimal(cell: str) -> Decimal:
+    """A CSV cell as a finite Decimal of order of magnitude within ±1000,
+    which keeps exact arithmetic on it cheap and inside the ledger
+    context's exponent range; anything else raises ValueError."""
+    try:
+        value = Decimal(cell)
+    except InvalidOperation:
+        value = Decimal("NaN")
+    if not (value.is_finite() and -1000 <= value.adjusted() <= 1000):
+        raise ValueError(f"expected a finite decimal within 1e±1000, got {cell!r}")
+    return value
+
+
+def read_csv(data: bytes | str, header: str, parse_row: Callable[[list[str]], T]) -> list[T]:
+    """The rows of a CSV wire format: UTF-8 text whose first line is
+    `header`, blank lines skipped, every other line a row of the header's
+    field count, mapped by `parse_row`. A malformed input, undecodable
+    bytes included, raises CsvFormatError naming its line, and so does a
+    ValueError or ArithmeticError of `parse_row`."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+            raise CsvFormatError(f"not UTF-8: {exc.reason}", line=line) from None
+    lines = data.splitlines()
+    if not lines or lines[0].strip() != header:
+        raise CsvFormatError(f"expected header {header!r}", line=1)
+    width = header.count(",") + 1
+    rows: list[T] = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        cells = raw.split(",")
+        if len(cells) != width:
+            raise CsvFormatError(f"expected {width} fields, got {len(cells)}", line=lineno)
+        try:
+            rows.append(parse_row(cells))
+        except (ValueError, ArithmeticError) as exc:
+            raise CsvFormatError(str(exc), line=lineno) from exc
+    return rows
+
+
+def write_csv(header: str, rows: Iterable[Iterable[object]]) -> str:
+    """CSV text: the header line, then one line per row. A cell is written
+    as its str(), None as an empty cell; every line ends in a newline."""
+    lines = [header]
+    lines.extend(",".join(["" if c is None else str(c) for c in row]) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 class Unit(str, Enum):

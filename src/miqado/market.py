@@ -27,12 +27,18 @@ from .core import (
     Amount,
     Numeric,
     Price,
+    csv_decimal,
     ledger_context,
+    read_csv,
     to_decimal,
+    write_csv,
 )
 from .errors import CsvFormatError, PathRangeError
 
 PRICE_CSV_HEADER = "timestamp,price"
+
+#: Most steps a synthetic path may have; bounds its memory and time.
+MAX_GBM_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -84,45 +90,24 @@ class PricePath:
 
 def load_price_csv(data: bytes | str) -> PricePath:
     """Parse the price CSV format, reporting the offending line on error."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    lines = text.splitlines()
-    if not lines:
-        raise CsvFormatError("empty input, expected header " + PRICE_CSV_HEADER)
-    if lines[0].strip() != PRICE_CSV_HEADER:
-        raise CsvFormatError(f"expected header {PRICE_CSV_HEADER!r}", line=1)
-    points: list[PricePoint] = []
     last_ts: int | None = None
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != 2:
-            raise CsvFormatError(f"expected 2 fields, got {len(parts)}", line=lineno)
-        try:
-            ts = int(parts[0])
-        except ValueError:
-            raise CsvFormatError(f"bad timestamp {parts[0]!r}", line=lineno) from None
-        try:
-            price = Decimal(parts[1])
-        except Exception:
-            raise CsvFormatError(f"bad price {parts[1]!r}", line=lineno) from None
-        if not (price.is_finite() and price > 0):
-            raise CsvFormatError(f"price must be > 0, got {parts[1]}", line=lineno)
+
+    def point(cells: list[str]) -> PricePoint:
+        nonlocal last_ts
+        ts = int(cells[0])
         if last_ts is not None and ts <= last_ts:
-            raise CsvFormatError(
-                f"timestamp {ts} not greater than previous {last_ts}", line=lineno
-            )
+            raise ValueError(f"timestamp {ts} not greater than previous {last_ts}")
         last_ts = ts
-        points.append(PricePoint(ts, Price(price)))
+        return PricePoint(ts, Price(csv_decimal(cells[1])))
+
+    points = read_csv(data, PRICE_CSV_HEADER, point)
     if not points:
         raise CsvFormatError("no data rows after header")
     return PricePath(tuple(points))
 
 
 def serialize_price_csv(path: PricePath) -> str:
-    lines = [PRICE_CSV_HEADER]
-    lines.extend(f"{pt.timestamp},{pt.price.value}" for pt in path.points)
-    return "\n".join(lines) + "\n"
+    return write_csv(PRICE_CSV_HEADER, ((pt.timestamp, pt.price.value) for pt in path.points))
 
 
 @dataclass(frozen=True)
@@ -142,8 +127,8 @@ class GbmParams:
             raise ValueError("sigma must be >= 0")
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        if not 1 <= self.steps <= MAX_GBM_STEPS:
+            raise ValueError(f"steps must lie in [1, {MAX_GBM_STEPS}]")
         if not 0.5 < self.dt * SECONDS_PER_YEAR < math.inf:  # rounds to >= 1 s
             raise ValueError("dt is below one second of resolution or not finite")
 

@@ -42,15 +42,18 @@ from .core import (
     FslParams,
     Numeric,
     Price,
+    csv_decimal,
     dec_str,
     execute_fsl,
     fsl_post_health_factor,
     health_factor,
     ledger_context,
     quantize,
+    read_csv,
     to_decimal,
+    write_csv,
 )
-from .errors import CsvFormatError, MiqadoError, ScenarioError
+from .errors import MiqadoError, ScenarioError
 from .market import CpAmmPool, PricePath, direct_price_decline
 from .option import historical_volatility
 from .protocol import (
@@ -80,6 +83,9 @@ CLASS_DEFAULT = "default"
 
 _MATURITY_CLASSES = (CLASS_EXERCISE_PROFIT, CLASS_EXERCISE_LOSS, CLASS_DEFAULT)
 _CLASSES = (CLASS_FSL, CLASS_INELIGIBLE, CLASS_DECLINED, CLASS_TERMINATED, *_MATURITY_CLASSES)
+
+#: Most events `synthesize_events` may draw; bounds its memory and time.
+MAX_SYNTHETIC_EVENTS = 100_000
 
 
 class Regime(Enum):
@@ -685,6 +691,8 @@ def synthesize_events(
     factor is uniform in `hf_band`; debt is then solved from the collateral,
     price and theta so that the trigger condition holds by construction.
     """
+    if count > MAX_SYNTHETIC_EVENTS:
+        raise ValueError(f"count must be at most {MAX_SYNTHETIC_EVENTS}")
     lo, hi = (to_decimal(hf_band[0]), to_decimal(hf_band[1]))
     if not 0 < lo < hi < 1:
         raise ValueError("hf_band must satisfy 0 < low < high < 1")
@@ -733,43 +741,31 @@ def synthesize_events(
     return events
 
 
+def _event(cells: list[str]) -> LiquidationEvent:
+    position_id, debt, collateral, borrow_rate, offset = cells
+    pos = BorrowingPosition(
+        id=position_id,
+        debt=Amount.debt(csv_decimal(debt)),
+        collateral=Amount.collateral(csv_decimal(collateral)),
+        borrow_rate=csv_decimal(borrow_rate),
+    )
+    path_offset = int(offset)
+    if path_offset < 0:
+        raise ValueError(f"negative path_offset {path_offset}")
+    return LiquidationEvent(position=pos, path_offset=path_offset)
+
+
 def load_events_csv(data: bytes | str) -> list[LiquidationEvent]:
     """Parse the events CSV; malformed rows name their line number."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != EVENTS_CSV_HEADER:
-        raise CsvFormatError(f"expected header {EVENTS_CSV_HEADER!r}", line=1)
-    events: list[LiquidationEvent] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != 5:
-            raise CsvFormatError(f"expected 5 fields, got {len(parts)}", line=lineno)
-        try:
-            pos = BorrowingPosition(
-                id=parts[0],
-                debt=Amount.debt(Decimal(parts[1])),
-                collateral=Amount.collateral(Decimal(parts[2])),
-                borrow_rate=Decimal(parts[3]),
-            )
-            offset = int(parts[4])
-        except (ValueError, ArithmeticError) as exc:
-            raise CsvFormatError(str(exc), line=lineno) from exc
-        if offset < 0:
-            raise CsvFormatError(f"negative path_offset {offset}", line=lineno)
-        events.append(LiquidationEvent(position=pos, path_offset=offset))
-    return events
+    return read_csv(data, EVENTS_CSV_HEADER, _event)
 
 
 def serialize_events_csv(events: Sequence[LiquidationEvent]) -> str:
-    lines = [EVENTS_CSV_HEADER]
+    rows = []
     for ev in events:
         p = ev.position
-        lines.append(
-            f"{p.id},{p.debt.value},{p.collateral.value},{p.borrow_rate},{ev.path_offset}"
-        )
-    return "\n".join(lines) + "\n"
+        rows.append((p.id, p.debt.value, p.collateral.value, p.borrow_rate, ev.path_offset))
+    return write_csv(EVENTS_CSV_HEADER, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -782,64 +778,42 @@ def outcome_rows_from_report(report: MetricsReport) -> list[OutcomeRow]:
 
 
 def serialize_outcomes_csv(rows: Sequence[OutcomeRow]) -> str:
-    def opt(v: Decimal | None) -> str:
-        return "" if v is None else dec_str(v)
-
-    lines = [OUTCOMES_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.event_index),
-                    r.position_id,
-                    str(r.premium_factor),
-                    str(r.term_seconds),
-                    r.outcome_class,
-                    opt(r.supporter_payoff),
-                    opt(r.premium_value),
-                    dec_str(r.release_usd),
-                    dec_str(r.restraint_usd),
-                    opt(r.price_decline),
-                ]
+    return write_csv(
+        OUTCOMES_CSV_HEADER,
+        (
+            (
+                r.event_index, r.position_id, r.premium_factor, r.term_seconds, r.outcome_class,
+                _dec_or_none(r.supporter_payoff), _dec_or_none(r.premium_value),
+                dec_str(r.release_usd), dec_str(r.restraint_usd), _dec_or_none(r.price_decline),
             )
-        )
-    return "\n".join(lines) + "\n"
+            for r in rows
+        ),
+    )
+
+
+def _outcome_row(cells: list[str]) -> OutcomeRow:
+    index, position_id, lam, term, klass, payoff, premium, release, restraint, decline = cells
+    if klass not in _CLASSES:
+        raise ValueError(f"unknown outcome_class {klass!r}")
+    if klass in _MATURITY_CLASSES and not payoff:
+        raise ValueError(f"{klass} row without a supporter_payoff")
+    return OutcomeRow(
+        event_index=int(index),
+        position_id=position_id,
+        premium_factor=csv_decimal(lam),
+        term_seconds=int(term),
+        outcome_class=klass,
+        supporter_payoff=csv_decimal(payoff) if payoff else None,
+        premium_value=csv_decimal(premium) if premium else None,
+        release_usd=csv_decimal(release),
+        restraint_usd=csv_decimal(restraint),
+        price_decline=csv_decimal(decline) if decline else None,
+    )
 
 
 def load_outcomes_csv(data: bytes | str) -> list[OutcomeRow]:
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != OUTCOMES_CSV_HEADER:
-        raise CsvFormatError("unexpected outcomes header", line=1)
-    rows: list[OutcomeRow] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != 10:
-            raise CsvFormatError(f"expected 10 fields, got {len(parts)}", line=lineno)
-        if parts[4] not in _CLASSES:
-            raise CsvFormatError(f"unknown outcome_class {parts[4]!r}", line=lineno)
-        if parts[4] in _MATURITY_CLASSES and not parts[5]:
-            raise CsvFormatError(f"{parts[4]} row without a supporter_payoff", line=lineno)
-        try:
-            rows.append(
-                OutcomeRow(
-                    event_index=int(parts[0]),
-                    position_id=parts[1],
-                    premium_factor=Decimal(parts[2]),
-                    term_seconds=int(parts[3]),
-                    outcome_class=parts[4],
-                    supporter_payoff=Decimal(parts[5]) if parts[5] else None,
-                    premium_value=Decimal(parts[6]) if parts[6] else None,
-                    release_usd=Decimal(parts[7]),
-                    restraint_usd=Decimal(parts[8]),
-                    price_decline=Decimal(parts[9]) if parts[9] else None,
-                )
-            )
-        except (ValueError, ArithmeticError) as exc:
-            raise CsvFormatError(str(exc), line=lineno) from exc
-    return rows
+    """Parse outcomes.csv; malformed rows name their line number."""
+    return read_csv(data, OUTCOMES_CSV_HEADER, _outcome_row)
 
 
 def aggregate_outcome_rows(rows: Sequence[OutcomeRow]) -> dict:

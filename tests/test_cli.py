@@ -14,8 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miqado.cli import load_config, main
+from miqado.errors import CsvFormatError
 from miqado.market import load_price_csv
-from miqado.sim import Regime, serialize_events_csv
+from miqado.sim import (
+    Regime,
+    load_events_csv,
+    load_outcomes_csv,
+    run_sweep,
+    serialize_events_csv,
+    serialize_outcomes_csv,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 README = Path(__file__).parents[1] / "README.md"
@@ -155,6 +163,9 @@ class TestGbm:
             pytest.param(("--mu", "-100000", "--sigma", "0.1", "--dt", "1"), id="price=0"),
             pytest.param(("--sigma", "0.1", "--dt", "1e308"), id="dt=1e308"),
             pytest.param(("--sigma", "0.1", "--dt", "0.001", "--seed", "-1"), id="seed=-1"),
+            pytest.param(
+                ("--sigma", "0.1", "--dt", "0.001", "--steps", "1000001"), id="steps=1000001"
+            ),
         ],
     )
     def test_path_out_of_range_is_usage_error(self, capsys, flags):
@@ -285,6 +296,27 @@ class TestSimulate:
             pytest.param(
                 ("path",), {"gbm": dict(GBM, mu=1e308)}, ("path.gbm",), id="path.gbm.mu=1e308"
             ),
+            pytest.param(
+                ("sweep", "lambdas"), ["0.1", "0.10"], ("sweep.lambdas",), id="lambdas=0.1,0.10"
+            ),
+            pytest.param(
+                ("sweep", "terms_hours"),
+                [1, 1.0],
+                ("sweep.terms_hours",),
+                id="terms_hours=1,1.0",
+            ),
+            pytest.param(
+                ("path",),
+                {"gbm": dict(GBM, steps=1_000_001)},
+                ("path.gbm", "steps"),
+                id="steps=1000001",
+            ),
+            pytest.param(
+                ("events",),
+                {"synthetic": {"count": 100_001}},
+                ("events.synthetic", "count"),
+                id="count=100001",
+            ),
         ],
     )
     def test_invalid_config_names_field(self, capsys, tmp_path, keys, value, names):
@@ -390,26 +422,56 @@ class TestAnalyze:
         assert summary["n_events"] == len(events)
 
     @pytest.mark.parametrize(
-        "column, value",
-        [pytest.param(5, "", id="blank_payoff"), pytest.param(4, "bogus_class", id="bogus_class")],
+        "name, column, value",
+        [
+            pytest.param("outcomes.csv", "supporter_payoff", "", id="blank_payoff"),
+            pytest.param("outcomes.csv", "outcome_class", "bogus_class", id="bogus_class"),
+            *(
+                pytest.param("outcomes.csv", column, value, id=f"{column}={value}")
+                for column in (
+                    "premium_factor", "supporter_payoff", "premium_value", "release_usd",
+                    "restraint_usd", "price_decline",
+                )
+                for value in ("NaN", "Infinity", "sNaN")
+            ),
+            pytest.param(
+                "outcomes.csv", "release_usd", "1E100000000000000000", id="release_usd=1E+1e17"
+            ),
+            pytest.param("outcomes.csv", "position_id", b"\xff", id="outcomes.csv=0xff"),
+            pytest.param("events.csv", "position_id", b"\xff", id="events.csv=0xff"),
+            pytest.param("path_hand.csv", "price", b"\xff", id="path.csv=0xff"),
+        ],
     )
-    def test_malformed_outcome_row_names_line(self, capsys, tmp_path, column, value):
+    def test_malformed_outcome_row_names_line(self, capsys, tmp_path, name, column, value):
+        # One cell of one row is replaced: in the exercise_profit row of
+        # outcomes.csv (read by analyze), or in the third line of events.csv
+        # (analyze) or of the price path (simulate).
         config = FIXTURES / "config_hand.json"
         run_cli(capsys, "simulate", "--config", str(config), "--out", str(tmp_path))
         (tmp_path / "events.csv").write_text(serialize_events_csv(load_config(config).events))
-        lines = (tmp_path / "outcomes.csv").read_text().splitlines()
-        index = next(i for i, line in enumerate(lines) if ",exercise_profit," in line)
-        parts = lines[index].split(",")
-        parts[column] = value
-        lines[index] = ",".join(parts)
-        (tmp_path / "outcomes.csv").write_text("\n".join(lines) + "\n")
-        code, out, err = run_cli(
-            capsys, "analyze",
-            "--events", str(tmp_path / "events.csv"),
-            "--outcomes", str(tmp_path / "outcomes.csv"),
+        for fixture in ("config_hand.json", "path_hand.csv", "events_hand.csv"):
+            (tmp_path / fixture).write_bytes((FIXTURES / fixture).read_bytes())
+        target = tmp_path / name
+        lines = target.read_bytes().splitlines()
+        index = 2
+        if name == "outcomes.csv":
+            index = next(i for i, line in enumerate(lines) if b",exercise_profit," in line)
+        parts = lines[index].split(b",")
+        parts[lines[0].decode().split(",").index(column)] = (
+            value if isinstance(value, bytes) else value.encode()
         )
+        lines[index] = b",".join(parts)
+        target.write_bytes(b"\n".join(lines) + b"\n")
+        if name == "path_hand.csv":
+            argv = ["simulate", "--config", str(tmp_path / "config_hand.json"),
+                    "--out", str(tmp_path / "out")]
+        else:
+            argv = ["analyze", "--events", str(tmp_path / "events.csv"),
+                    "--outcomes", str(tmp_path / "outcomes.csv")]
+        code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert f"line {index + 1}" in err
+        assert "Traceback" not in err
         assert out == ""
 
     def test_missing_file_is_runtime_error(self, capsys, tmp_path):
@@ -456,6 +518,84 @@ class TestConfigFuzz:
             code = main(["simulate", "--config", str(tmp_dir / "config.json"),
                          "--out", str(tmp_dir / "out")])
         assert code in (0, 1)
+
+
+def _hand_csv_inputs() -> dict[str, bytes]:
+    """The hand fixture's two CSV inputs and the outcomes.csv it yields."""
+    config = load_config(FIXTURES / "config_hand.json")
+    sweep = run_sweep(config, config.sweep_lambdas, config.sweep_terms_seconds)
+    outcomes = serialize_outcomes_csv([row for _, _, rep in sweep.cells for row in rep.results])
+    return {
+        "path_hand.csv": (FIXTURES / "path_hand.csv").read_bytes(),
+        "events_hand.csv": (FIXTURES / "events_hand.csv").read_bytes(),
+        "outcomes.csv": outcomes.encode(),
+    }
+
+
+HAND_CSV = _hand_csv_inputs()
+CSV_LOADERS = {
+    "path_hand.csv": load_price_csv,
+    "events_hand.csv": load_events_csv,
+    "outcomes.csv": load_outcomes_csv,
+}
+
+#: Replacement text: arbitrary bytes, arbitrary UTF-8 text, and numerals
+#: with any exponent, NaN and infinities.
+csv_values = (
+    st.binary(max_size=8)
+    | st.text(max_size=8).map(str.encode)
+    | st.from_regex(
+        r"[-+]?([0-9]{1,3}(\.[0-9]{0,3})?([eE][-+]?[0-9]{1,7})?|s?NaN|Inf(inity)?)",
+        fullmatch=True,
+    ).map(str.encode)
+)
+
+
+@st.composite
+def csv_edits(draw):
+    """One hand CSV input with one field, one whole line, or a run of up to
+    eight bytes replaced."""
+    name = draw(st.sampled_from(sorted(HAND_CSV)))
+    data, new = HAND_CSV[name], draw(csv_values)
+    how = draw(st.sampled_from(["field", "line", "bytes"]))
+    if how == "bytes":
+        start = draw(st.integers(0, len(data)))
+        end = draw(st.integers(start, min(len(data), start + 8)))
+        return name, data[:start] + new + data[end:]
+    lines = data.split(b"\n")
+    i = draw(st.integers(0, len(lines) - 1))
+    if how == "line":
+        lines[i] = new
+    else:
+        cells = lines[i].split(b",")
+        cells[draw(st.integers(0, len(cells) - 1))] = new
+        lines[i] = b",".join(cells)
+    return name, b"\n".join(lines)
+
+
+class TestCsvFuzz:
+    @settings(max_examples=75, deadline=None)
+    @given(edit=csv_edits())
+    def test_any_edit_loads_or_is_a_csv_format_error(self, edit):
+        name, data = edit
+        try:
+            CSV_LOADERS[name](data)
+            rejected = False
+        except CsvFormatError:
+            rejected = True
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp_dir = Path(tmp)
+            for fixture, blob in HAND_CSV.items():
+                (tmp_dir / fixture).write_bytes(data if fixture == name else blob)
+            (tmp_dir / "config.json").write_text(json.dumps(HAND_CONFIG))
+            if name == "outcomes.csv":
+                argv = ["analyze", "--events", str(tmp_dir / "events_hand.csv"),
+                        "--outcomes", str(tmp_dir / "outcomes.csv")]
+            else:
+                argv = ["simulate", "--config", str(tmp_dir / "config.json"),
+                        "--out", str(tmp_dir / "out")]
+            code = main(argv)
+        assert code == 1 if rejected else code in (0, 1)
 
 
 class TestEntryPoint:

@@ -15,6 +15,7 @@ from miqado.core import (
     FslParams,
     Price,
     collateralization_ratio,
+    csv_decimal,
     execute_fsl,
     fsl_post_health_factor,
     health_factor,
@@ -269,3 +270,16 @@ class TestQuantize:
         value = Decimal("1" + "0" * 70 + ".5")
         assert quantize(value) == value
         assert str(quantize(value)).endswith(".500000000000000000")
+
+
+class TestCsvDecimal:
+    @pytest.mark.parametrize("cell", ["0", "-0.10", "1e1000", "-9.9e1000", "1e-1000", "0E-18"])
+    def test_accepts_finite_decimals_within_range(self, cell):
+        assert csv_decimal(cell) == Decimal(cell)
+
+    @pytest.mark.parametrize(
+        "cell", ["", "abc", "NaN", "-Infinity", "sNaN", "1e1001", "1e-1001", "1e100000000000"]
+    )
+    def test_rejects_anything_else_with_value_error(self, cell):
+        with pytest.raises(ValueError):
+            csv_decimal(cell)
