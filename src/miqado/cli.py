@@ -17,7 +17,7 @@ from dataclasses import astuple, dataclass, fields
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
-from .core import Amount, FslParams, Price, ledger_context, to_decimal, write_csv
+from .core import Amount, FslParams, Price, csv_decimal, ledger_context, to_decimal, write_csv
 from .errors import ConfigError, MiqadoError
 from .market import CpAmmPool, GbmParams, generate_gbm, load_price_csv, serialize_price_csv
 from .option import BsInputs, bs_call_price, optimal_premium_factor
@@ -85,19 +85,19 @@ def cmd_price(args: argparse.Namespace) -> int:
         collateral = Amount.collateral(to_decimal(args.collateral))
         if collateral.is_zero():
             raise ValueError("--collateral must be > 0")
-    except (ValueError, InvalidOperation) as exc:
+        price = bs_call_price(inputs)
+        lam_star = optimal_premium_factor(
+            Price(to_decimal(args.spot)),
+            collateral,
+            strike=args.strike,
+            domestic_rate=args.rate,
+            foreign_rate=args.foreign_rate,
+            sigma=args.sigma,
+            term=args.term,
+        )
+    except (ValueError, ArithmeticError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    price = bs_call_price(inputs)
-    lam_star = optimal_premium_factor(
-        Price(to_decimal(args.spot)),
-        collateral,
-        strike=args.strike,
-        domestic_rate=args.rate,
-        foreign_rate=args.foreign_rate,
-        sigma=args.sigma,
-        term=args.term,
-    )
     print(f"call_price {price:.10g}")
     print(f"lambda_star {lam_star:.10g}")
     return 0
@@ -163,16 +163,17 @@ def _section(raw, where: str, keys: tuple[str, ...]) -> dict:
 
 def _as_number(value, field: str, kind: type = Decimal):
     """A config value as a Decimal, int or float. Numbers and numeric
-    strings are accepted; booleans, anything else, NaN, values outside the
+    strings are accepted; booleans, anything else, NaN, infinities, orders
+    of magnitude beyond ±1000 (the CSV cell rule), values outside the
     float range and, for int, values that are not whole name the field."""
     try:
         if isinstance(value, bool) or not isinstance(value, (int, float, str, Decimal)):
             raise ValueError
-        number = to_decimal(value)
+        number = csv_decimal(str(value))
     except ValueError:
-        raise ConfigError(f"expected a number, got {value}", field=field) from None
-    if not (number.is_finite() and math.isfinite(float(number))):
-        raise ConfigError(f"expected a finite number, got {value}", field=field)
+        raise ConfigError(f"expected a number within 1e±1000, got {value}", field=field) from None
+    if not math.isfinite(float(number)):
+        raise ConfigError(f"expected a number in the float range, got {value}", field=field)
     if kind is int and number != number.to_integral_value():
         raise ConfigError(f"expected a whole number, got {value}", field=field)
     return kind(number)

@@ -89,15 +89,26 @@ def dec_str(value: Decimal) -> str:
 
 
 def csv_decimal(cell: str) -> Decimal:
-    """A CSV cell as a finite Decimal of order of magnitude within ±1000,
-    which keeps exact arithmetic on it cheap and inside the ledger
-    context's exponent range; anything else raises ValueError."""
+    """A CSV cell or config number as a finite Decimal of order of
+    magnitude within ±1000, which keeps exact arithmetic on it cheap and
+    inside the ledger context's exponent range; anything else raises
+    ValueError."""
     try:
         value = Decimal(cell)
     except InvalidOperation:
         value = Decimal("NaN")
     if not (value.is_finite() and -1000 <= value.adjusted() <= 1000):
         raise ValueError(f"expected a finite decimal within 1e±1000, got {cell!r}")
+    return value
+
+
+def csv_int(cell: str) -> int:
+    """A CSV cell as an integer in [-2**63, 2**63), the signed 64-bit
+    range, so that differences and ratios of cells stay float-sized;
+    anything else raises ValueError."""
+    value = int(cell)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"expected an integer in [-2**63, 2**63), got {cell!r}")
     return value
 
 

@@ -28,6 +28,7 @@ from .core import (
     Numeric,
     Price,
     csv_decimal,
+    csv_int,
     ledger_context,
     read_csv,
     to_decimal,
@@ -94,7 +95,7 @@ def load_price_csv(data: bytes | str) -> PricePath:
 
     def point(cells: list[str]) -> PricePoint:
         nonlocal last_ts
-        ts = int(cells[0])
+        ts = csv_int(cells[0])
         if last_ts is not None and ts <= last_ts:
             raise ValueError(f"timestamp {ts} not greater than previous {last_ts}")
         last_ts = ts
@@ -131,6 +132,9 @@ class GbmParams:
             raise ValueError(f"steps must lie in [1, {MAX_GBM_STEPS}]")
         if not 0.5 < self.dt * SECONDS_PER_YEAR < math.inf:  # rounds to >= 1 s
             raise ValueError("dt is below one second of resolution or not finite")
+        last_ts = self.start_ts + self.steps * round(self.dt * SECONDS_PER_YEAR)
+        if not (-(2**63) <= self.start_ts and last_ts < 2**63):  # the price CSV's range
+            raise ValueError("timestamps must lie in [-2**63, 2**63)")
 
 
 def _open_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:

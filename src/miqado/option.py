@@ -24,6 +24,13 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
+def _finite(value: float, what: str) -> float:
+    """`value`, or ValueError when the model gave no finite value."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is undefined or out of the float range ({value})")
+    return value
+
+
 @dataclass(frozen=True)
 class BsInputs:
     """Inputs for the two-rate European call formula.
@@ -63,7 +70,7 @@ def bs_call_price(inputs: BsInputs) -> float:
     disc_d = math.exp(-inputs.domestic_rate * inputs.term)
     vol_sqrt_t = inputs.volatility * math.sqrt(inputs.term)
     if vol_sqrt_t == 0:
-        return max(s0 * disc_f - k * disc_d, 0.0)
+        return _finite(max(s0 * disc_f - k * disc_d, 0.0), "call price")
     d1 = (
         math.log(s0 / k)
         + (inputs.domestic_rate - inputs.foreign_rate + 0.5 * inputs.volatility**2)
@@ -71,7 +78,7 @@ def bs_call_price(inputs: BsInputs) -> float:
     ) / vol_sqrt_t
     d2 = d1 - vol_sqrt_t
     price = s0 * disc_f * std_normal_cdf(d1) - k * disc_d * std_normal_cdf(d2)
-    return max(price, 0.0)
+    return _finite(max(price, 0.0), "call price")
 
 
 def optimal_premium_factor(
@@ -88,8 +95,9 @@ def optimal_premium_factor(
     A supporter paying a top-up fraction at or below this factor pays no
     more than the model value of the takeover right.
     """
-    if c_t0.value == 0:
-        raise ZeroDivisionError("collateral is zero, premium factor undefined")
+    collateral_value = float(c_t0.value) * float(p_t0.value)
+    if collateral_value == 0:
+        raise ZeroDivisionError("collateral value is zero, premium factor undefined")
     price = bs_call_price(
         BsInputs(
             spot=float(p_t0.value),
@@ -100,7 +108,7 @@ def optimal_premium_factor(
             term=term,
         )
     )
-    return price / (float(c_t0.value) * float(p_t0.value))
+    return _finite(price / _finite(collateral_value, "collateral value"), "premium factor")
 
 
 def historical_volatility(path: PricePath, periods_per_year: float) -> float:

@@ -12,7 +12,9 @@ Replays liquidation events under three regimes:
   never attract support) fall through to fixed-spread liquidation.
 
 Events are processed sequentially and independently: one event's sale
-never moves another event's prices. Everything is a deterministic
+never moves another event's prices. One event loop, `run_sweep`, replays
+each event in every (premium factor, term) cell before the next event; a
+single scenario is a one-cell sweep. Everything is a deterministic
 function of the scenario value, so identical inputs reproduce identical
 reports byte for byte.
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
@@ -43,6 +46,7 @@ from .core import (
     Numeric,
     Price,
     csv_decimal,
+    csv_int,
     dec_str,
     execute_fsl,
     fsl_post_health_factor,
@@ -53,7 +57,7 @@ from .core import (
     to_decimal,
     write_csv,
 )
-from .errors import MiqadoError, ScenarioError
+from .errors import InsufficientDataError, MiqadoError, ScenarioError
 from .market import CpAmmPool, PricePath, direct_price_decline
 from .option import historical_volatility
 from .protocol import (
@@ -357,33 +361,11 @@ def _payoff_row(
 
 def path_volatility(path: PricePath) -> float:
     """Annualized volatility estimated from the scenario path's own cadence."""
+    if len(path) < 3:
+        raise InsufficientDataError(f"need at least 3 price points, got {len(path)}")
     step = (path[-1].timestamp - path[0].timestamp) / (len(path) - 1)
     periods_per_year = SECONDS_PER_YEAR / step
     return historical_volatility(path, periods_per_year)
-
-
-@dataclass(frozen=True)
-class TriggerFacts:
-    """The part of a replay that neither the premium factor nor the term
-    changes: each event's health factor at its trigger, the summaries of
-    those and of the health factors after a maximal liquidation there, the
-    share healthy after that liquidation, and the release if every event
-    were liquidated at its trigger. It depends only on the events, the
-    path and the FSL parameters, so a sweep computes it once and shares it
-    between cells.
-
-    The lists stop before the first event that fails its trigger check.
-    That event's error is kept and raised when a replay reaches the event,
-    so a replay fails at the same event, with the same error, as one that
-    checks each trigger as it goes.
-    """
-
-    hf_pre: list[Fraction]
-    hf_pre_summary: DistSummary
-    hf_post_fsl_summary: DistSummary
-    healthy_fraction_fsl: Decimal
-    baseline_release: Decimal
-    error: ScenarioError | None = None
 
 
 @contextmanager
@@ -396,34 +378,6 @@ def _event_errors(idx: int):
         raise
     except (MiqadoError, ValueError, ArithmeticError) as exc:
         raise ScenarioError(idx, str(exc)) from exc
-
-
-def trigger_facts(s: Scenario) -> TriggerFacts:
-    """Check each event's trigger and compute the scenario's TriggerFacts."""
-    hf_pre: list[Fraction] = []
-    hf_post_fsl: list[Fraction | float] = []
-    released: list[Decimal] = []
-    error = None
-    for idx, ev in enumerate(s.events):
-        try:
-            with _event_errors(idx):
-                hf, hf_fsl, release = _trigger(idx, ev, s)
-        except ScenarioError as exc:
-            error = exc
-            break
-        hf_pre.append(hf)
-        hf_post_fsl.append(hf_fsl)
-        released.append(release)
-    n = len(hf_post_fsl)
-    healthy_fsl = Fraction(sum(1 for v in hf_post_fsl if v >= 1), n) if n else Fraction(0)
-    return TriggerFacts(
-        hf_pre=hf_pre,
-        hf_pre_summary=DistSummary.from_values(hf_pre),
-        hf_post_fsl_summary=DistSummary.from_values(hf_post_fsl),
-        healthy_fraction_fsl=_fraction_to_decimal(healthy_fsl),
-        baseline_release=_sum(released),
-        error=error,
-    )
 
 
 def _trigger(
@@ -448,66 +402,36 @@ def _trigger(
     return hf_pre, hf_fsl, release
 
 
-def run_scenario(scenario: Scenario, facts: TriggerFacts | None = None) -> MetricsReport:
-    """Replay every event independently under the scenario regime.
+def _healthy_share(values: Sequence[Fraction | float]) -> Decimal:
+    """The share of health factors at or above one; zero when empty."""
+    healthy = sum(1 for v in values if v >= 1)
+    return _fraction_to_decimal(Fraction(healthy, len(values)) if values else Fraction(0))
 
-    Pure with respect to its argument: positions and pools are copied
-    before any mutation. Module errors raised while processing an event
-    are re-raised as ScenarioError with the event index attached.
-    `facts` must be `trigger_facts` of a scenario with the same events,
-    path and FSL parameters; a sweep passes them so that every cell
-    shares them. They are computed here when not given.
-    """
-    s = scenario
-    if facts is None:
-        facts = trigger_facts(s)
-    # The regime alone sets the engagement window: without liquidation it
-    # is the liquidation threshold HF < 1, i.e. buffer 0.
-    params = s.miqado
-    if s.regime is Regime.MIQADO_ONLY:
-        params = replace(params, buffer=Decimal(0))
-    needs_gate = s.supporter_gate and s.regime is not Regime.FSL_ONLY
-    sigma = 0.0
-    if needs_gate:
-        sigma = s.sigma_override if s.sigma_override is not None else path_volatility(s.path)
 
-    results: list[OutcomeRow] = []
-    for idx, ev in enumerate(s.events):
-        if idx == len(facts.hf_pre):
-            raise facts.error
-        with _event_errors(idx):
-            results.append(_run_event(idx, ev, s, params, sigma))
-    lam = Fraction(params.premium_factor)
-    hf_post_miq_values = [hf * (1 + lam) for hf in facts.hf_pre]
-
-    class_counts: dict[str, int] = {}
-    for r in results:
-        class_counts[r.outcome_class] = class_counts.get(r.outcome_class, 0) + 1
-
+def _cell_report(
+    results: list[OutcomeRow], premium_factor: Decimal, hf_pre: list[Fraction], common: dict
+) -> MetricsReport:
+    """Fold one cell's outcome rows into its report. `common` holds the
+    report fields that no cell changes: the regime, the health factors at
+    the trigger and after a maximal liquidation there, and the release if
+    every event were liquidated at its trigger."""
     release = _sum(r.release_usd for r in results)
-    restraint = _sum(r.restraint_usd for r in results)
-    baseline = facts.baseline_release
+    baseline = common["fsl_baseline_release_usd"]
     reduction: Decimal | None = None
     if baseline > 0:
         with ledger_context():
             reduction = 1 - release / baseline
-
-    n = len(results)
-    healthy_miq = Fraction(sum(1 for v in hf_post_miq_values if v >= 1), n) if n else Fraction(0)
-
+    lam = Fraction(premium_factor)
+    hf_post_miq = [hf * (1 + lam) for hf in hf_pre]
     return MetricsReport(
-        regime=s.regime,
-        n_events=n,
-        class_counts=class_counts,
+        **common,
+        n_events=len(results),
+        class_counts=dict(Counter(r.outcome_class for r in results)),
         collateral_release_usd=release,
-        collateral_restraint_usd=restraint,
-        fsl_baseline_release_usd=baseline,
+        collateral_restraint_usd=_sum(r.restraint_usd for r in results),
         release_reduction=reduction,
-        hf_pre=facts.hf_pre_summary,
-        hf_post_fsl=facts.hf_post_fsl_summary,
-        hf_post_miqado=DistSummary.from_values(hf_post_miq_values),
-        healthy_fraction_fsl=facts.healthy_fraction_fsl,
-        healthy_fraction_miqado=_fraction_to_decimal(healthy_miq),
+        hf_post_miqado=DistSummary.from_values(hf_post_miq),
+        healthy_fraction_miqado=_healthy_share(hf_post_miq),
         payoff_rows=payoff_rows(results),
         price_declines=[r.price_decline for r in results if r.price_decline is not None],
         results=results,
@@ -647,21 +571,65 @@ class SweepResult:
 def run_sweep(
     base: Scenario, premium_factors: Sequence[Numeric], terms_seconds: Sequence[int]
 ) -> SweepResult:
-    """Run the scenario once per sweep cell (term-major, like a payoff
-    table is usually read). The trigger facts, which no cell changes, are
-    computed once and shared by every cell."""
+    """Replay the scenario in every (premium factor, term) cell, ordered
+    term-major like a payoff table is usually read.
+
+    Once per sweep: each cell's parameters, the regime's buffer rule and
+    the gate's volatility. Then, for each event in order: its trigger
+    check and liquidation, then its replay in every cell. Last, each
+    cell's rows are folded into its report. A failing event raises where
+    it fails: the sweep names its lowest-index failing event, in the
+    first cell (term-major) where that event fails."""
     if not premium_factors or not terms_seconds:
         raise ValueError("sweep grids must be non-empty")
-    facts = trigger_facts(base)
-    cells = []
-    for term in terms_seconds:
-        for lam in premium_factors:
-            lam_dec = to_decimal(lam)
-            scenario = replace(
-                base, miqado=replace(base.miqado, premium_factor=lam_dec, term_seconds=term)
-            )
-            cells.append((lam_dec, term, run_scenario(scenario, facts)))
-    return SweepResult(regime=base.regime, cells=cells)
+    s = base
+    # The regime alone sets the engagement window: without liquidation it
+    # is the liquidation threshold HF < 1, i.e. buffer 0.
+    miqado = s.miqado
+    if s.regime is Regime.MIQADO_ONLY:
+        miqado = replace(miqado, buffer=Decimal(0))
+    grid = [
+        replace(miqado, premium_factor=to_decimal(lam), term_seconds=term)
+        for term in terms_seconds
+        for lam in premium_factors
+    ]
+    sigma = 0.0
+    if s.supporter_gate and s.regime is not Regime.FSL_ONLY:
+        sigma = s.sigma_override if s.sigma_override is not None else path_volatility(s.path)
+
+    hf_pre: list[Fraction] = []
+    hf_post_fsl: list[Fraction | float] = []
+    released: list[Decimal] = []
+    rows: list[list[OutcomeRow]] = [[] for _ in grid]
+    for idx, ev in enumerate(s.events):
+        with _event_errors(idx):
+            hf, hf_fsl, release = _trigger(idx, ev, s)
+            for params, cell_rows in zip(grid, rows):
+                cell_rows.append(_run_event(idx, ev, s, params, sigma))
+        hf_pre.append(hf)
+        hf_post_fsl.append(hf_fsl)
+        released.append(release)
+
+    common = dict(
+        regime=s.regime,
+        fsl_baseline_release_usd=_sum(released),
+        hf_pre=DistSummary.from_values(hf_pre),
+        hf_post_fsl=DistSummary.from_values(hf_post_fsl),
+        healthy_fraction_fsl=_healthy_share(hf_post_fsl),
+    )
+    cells = [
+        (p.premium_factor, p.term_seconds, _cell_report(r, p.premium_factor, hf_pre, common))
+        for p, r in zip(grid, rows)
+    ]
+    return SweepResult(regime=s.regime, cells=cells)
+
+
+def run_scenario(scenario: Scenario) -> MetricsReport:
+    """Replay every event under the scenario regime: the one-cell sweep of
+    the scenario's own premium factor and term. Pure with respect to its
+    argument; an event that fails raises ScenarioError with its index."""
+    s = scenario
+    return run_sweep(s, [s.miqado.premium_factor], [s.miqado.term_seconds]).cells[0][2]
 
 
 def report_to_json(payload: Mapping) -> str:
@@ -749,7 +717,7 @@ def _event(cells: list[str]) -> LiquidationEvent:
         collateral=Amount.collateral(csv_decimal(collateral)),
         borrow_rate=csv_decimal(borrow_rate),
     )
-    path_offset = int(offset)
+    path_offset = csv_int(offset)
     if path_offset < 0:
         raise ValueError(f"negative path_offset {path_offset}")
     return LiquidationEvent(position=pos, path_offset=path_offset)
@@ -798,10 +766,10 @@ def _outcome_row(cells: list[str]) -> OutcomeRow:
     if klass in _MATURITY_CLASSES and not payoff:
         raise ValueError(f"{klass} row without a supporter_payoff")
     return OutcomeRow(
-        event_index=int(index),
+        event_index=csv_int(index),
         position_id=position_id,
         premium_factor=csv_decimal(lam),
-        term_seconds=int(term),
+        term_seconds=csv_int(term),
         outcome_class=klass,
         supporter_payoff=csv_decimal(payoff) if payoff else None,
         premium_value=csv_decimal(premium) if premium else None,

@@ -87,18 +87,37 @@ class TestPrice:
         assert values["lambda_star"] == pytest.approx(MC_ATM_CALL / 1000.0, rel=0.005)
 
     @pytest.mark.parametrize(
-        "flag, value, message",
+        "changed, message",
         [
-            pytest.param("--sigma", "-0.2", "usage error", id="sigma=-0.2"),
-            pytest.param("--sigma", "inf", "--sigma", id="sigma=inf"),
-            pytest.param("--spot", "nan", "--spot", id="spot=nan"),
-            pytest.param("--strike", "-inf", "--strike", id="strike=-inf"),
-            pytest.param("--rate", "nan", "--rate", id="rate=nan"),
-            pytest.param("--term", "abc", "--term", id="term=abc"),
+            pytest.param({"--sigma": "-0.2"}, "usage error", id="sigma=-0.2"),
+            pytest.param({"--sigma": "inf"}, "--sigma", id="sigma=inf"),
+            pytest.param({"--spot": "nan"}, "--spot", id="spot=nan"),
+            pytest.param({"--strike": "-inf"}, "--strike", id="strike=-inf"),
+            pytest.param({"--rate": "nan"}, "--rate", id="rate=nan"),
+            pytest.param({"--term": "abc"}, "--term", id="term=abc"),
+            # Finite flags whose model value is undefined or not finite.
+            pytest.param({"--collateral": "1e-400"}, "usage error", id="collateral=1e-400"),
+            pytest.param({"--collateral": "1e400"}, "usage error", id="collateral=1e400"),
+            pytest.param(
+                {"--spot": "1e-300", "--strike": "1e300", "--sigma": "100", "--term": "1e10"},
+                "usage error",
+                id="log(spot/strike)-undefined",
+            ),
+            pytest.param(
+                {"--spot": "1e300", "--strike": "1e-300", "--sigma": "0", "--term": "1e10",
+                 "--rate": "-1"},
+                "usage error",
+                id="discount-overflows",
+            ),
+            pytest.param(
+                {"--spot": "1e300", "--sigma": "0.2", "--foreign-rate": "-700"},
+                "call price",
+                id="call-price=inf",
+            ),
         ],
     )
-    def test_bad_value_is_usage_error(self, capsys, flag, value, message):
-        flags = {"--spot": "100", "--strike": "100", "--sigma": "0.2", "--term": "1", flag: value}
+    def test_bad_value_is_usage_error(self, capsys, changed, message):
+        flags = {"--spot": "100", "--strike": "100", "--sigma": "0.2", "--term": "1", **changed}
         code, out, err = run_cli(capsys, "price", *(x for kv in flags.items() for x in kv))
         assert code == 2
         assert message in err
@@ -166,6 +185,14 @@ class TestGbm:
             pytest.param(
                 ("--sigma", "0.1", "--dt", "0.001", "--steps", "1000001"), id="steps=1000001"
             ),
+            pytest.param(
+                ("--sigma", "0.1", "--dt", "0.001", "--start-ts", str(2**63)), id="start_ts=2**63"
+            ),
+            pytest.param(
+                ("--sigma", "0.1", "--dt", "0.001", "--start-ts", str(-(2**63) - 1)),
+                id="start_ts=-2**63-1",
+            ),
+            pytest.param(("--sigma", "0", "--dt", "1e11"), id="last_ts>=2**63"),
         ],
     )
     def test_path_out_of_range_is_usage_error(self, capsys, flags):
@@ -267,6 +294,15 @@ class TestSimulate:
             ),
             pytest.param(("miqado", "buffer"), "Infinity", ("miqado.buffer",), id="buffer=Infinity"),
             pytest.param(("sweep", "lambdas"), ["1e400"], ("sweep.lambdas",), id="lambdas=1e400"),
+            pytest.param(
+                ("sweep", "lambdas"),
+                ["1e-999999999"],
+                ("sweep.lambdas",),
+                id="lambdas=1e-999999999",
+            ),
+            pytest.param(
+                ("miqado", "k_re"), "1e-999999999", ("miqado.k_re",), id="k_re=1e-999999999"
+            ),
             pytest.param(("seed",), 5.7, ("seed",), id="seed=5.7"),
             pytest.param(
                 ("path",), {"gbm": dict(GBM, steps=2.9)}, ("path.gbm.steps",), id="steps=2.9"
@@ -437,6 +473,12 @@ class TestAnalyze:
             pytest.param(
                 "outcomes.csv", "release_usd", "1E100000000000000000", id="release_usd=1E+1e17"
             ),
+            pytest.param("outcomes.csv", "event_index", str(2**63), id="event_index=2**63"),
+            pytest.param(
+                "outcomes.csv", "term_seconds", str(-(2**63) - 1), id="term_seconds=-2**63-1"
+            ),
+            pytest.param("events.csv", "path_offset", "9" * 400, id="path_offset=400-digits"),
+            pytest.param("path_hand.csv", "timestamp", "9" * 400, id="timestamp=400-digits"),
             pytest.param("outcomes.csv", "position_id", b"\xff", id="outcomes.csv=0xff"),
             pytest.param("events.csv", "position_id", b"\xff", id="events.csv=0xff"),
             pytest.param("path_hand.csv", "price", b"\xff", id="path.csv=0xff"),
@@ -596,6 +638,55 @@ class TestCsvFuzz:
                         "--out", str(tmp_dir / "out")]
             code = main(argv)
         assert code == 1 if rejected else code in (0, 1)
+
+
+#: Flag values: the repr of any float, numerals with any exponent, and
+#: short text. Each is passed as `--flag=value`, so text that starts with
+#: a dash is still a value.
+flag_values = (
+    st.floats().map(repr)
+    | st.from_regex(r"[-+]?[0-9]{1,3}(\.[0-9]{0,3})?([eE][-+]?[0-9]{1,9})?", fullmatch=True)
+    | st.text(max_size=6)
+)
+#: Steps stay at 1,000 or fewer: a run at the cap would draw a million
+#: normals, and the cap+1 case is covered by TestGbm.
+FLAGS = {
+    "price": dict.fromkeys(
+        ("--spot", "--strike", "--rate", "--foreign-rate", "--sigma", "--term", "--collateral"),
+        flag_values,
+    ),
+    "gbm": {
+        **dict.fromkeys(("--p0", "--mu", "--sigma", "--dt"), flag_values),
+        "--steps": st.integers(max_value=1000).map(str) | st.text(max_size=4),
+        "--seed": st.integers().map(str) | flag_values,
+        "--start-ts": st.integers().map(str) | flag_values,
+    },
+}
+VALID_FLAGS = {
+    "price": {"--spot": "100", "--strike": "95", "--sigma": "0.2", "--term": "0.25"},
+    "gbm": {"--p0": "100", "--sigma": "0.5", "--dt": "0.001", "--steps": "5"},
+}
+
+
+@st.composite
+def flag_sets(draw):
+    """A valid `price` or `gbm` command line with some of its flags set to
+    drawn values."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    names = draw(st.lists(st.sampled_from(sorted(FLAGS[command])), min_size=1, unique=True))
+    flags = dict(VALID_FLAGS[command], **{name: draw(FLAGS[command][name]) for name in names})
+    return [command, *(f"{name}={value}" for name, value in flags.items())]
+
+
+class TestFlagFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(argv=flag_sets())
+    def test_any_flag_value_exits_0_1_or_2(self, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected a flag
+            code = exc.code
+        assert code in (0, 1, 2)
 
 
 class TestEntryPoint:

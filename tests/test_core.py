@@ -16,6 +16,7 @@ from miqado.core import (
     Price,
     collateralization_ratio,
     csv_decimal,
+    csv_int,
     execute_fsl,
     fsl_post_health_factor,
     health_factor,
@@ -283,3 +284,20 @@ class TestCsvDecimal:
     def test_rejects_anything_else_with_value_error(self, cell):
         with pytest.raises(ValueError):
             csv_decimal(cell)
+
+
+class TestCsvInt:
+    @pytest.mark.parametrize("cell", ["0", "-17", "9223372036854775807", "-9223372036854775808"])
+    def test_accepts_64_bit_integers(self, cell):
+        assert csv_int(cell) == int(cell)
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            "", "abc", "1.0", "1e3", "9223372036854775808", "-9223372036854775809",
+            pytest.param("9" * 400, id="400-digits"), pytest.param("9" * 5000, id="5000-digits"),
+        ],
+    )
+    def test_rejects_anything_else_with_value_error(self, cell):
+        with pytest.raises(ValueError):
+            csv_int(cell)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miqado.core import Amount, BorrowingPosition, FslParams, Price, health_factor
-from miqado.errors import CsvFormatError, ScenarioError
+from miqado.errors import CsvFormatError, InsufficientDataError, ScenarioError
 from miqado.market import CpAmmPool, GbmParams, PricePath, generate_gbm, load_price_csv
 from miqado.protocol import MiqadoParams
 from miqado.sim import (
@@ -540,6 +540,23 @@ class TestSupporterGate:
             run_scenario(s)
         assert err.value.event_index == 0
 
+    def test_model_value_out_of_float_range_names_event(self):
+        # spot 1e307 grown by exp(20 * 0.25) overflows the call value
+        s = self.gated_scenario(Regime.MIQADO_ONLY, "0.05")
+        s.path = PricePath.from_pairs([(i * HOUR, "1e307") for i in range(2200)])
+        s.events = [LiquidationEvent(position=pos("1e307", "1"), path_offset=0)]
+        s.foreign_rate = -20.0
+        with pytest.raises(ScenarioError, match="call price") as err:
+            run_scenario(s)
+        assert err.value.event_index == 0
+
+    def test_path_too_short_to_estimate_sigma(self):
+        s = self.gated_scenario(Regime.MIQADO_ONLY, "0.05", sigma=None)
+        s.path = PricePath.from_pairs([(0, "100")])
+        s.events = s.events[:1]
+        with pytest.raises(InsufficientDataError):
+            run_scenario(s)
+
     def test_sigma_estimated_from_path_when_not_overridden(self):
         # flat path: estimated sigma is 0; with the debt above the spot's
         # forward value the takeover right is worthless, so all decline
@@ -746,8 +763,10 @@ def gated_rescue_scenario(regime=Regime.HYBRID):
 
 
 class TestSweepSharesTriggerFacts:
-    """A sweep computes the trigger facts once for all cells; every cell
-    must still equal a standalone replay of the same (lambda, term)."""
+    """A sweep replays each event in every cell before the next event, and
+    checks each trigger once for all cells. Every cell must still equal a
+    standalone replay of the same (lambda, term), and the sweep fails at
+    its lowest-index failing event."""
 
     @pytest.mark.parametrize("regime", list(Regime))
     def test_cells_equal_standalone_runs(self, regime):
@@ -786,6 +805,19 @@ class TestSweepSharesTriggerFacts:
             with pytest.raises(ScenarioError) as swept:
                 run_sweep(s, ["0.1"], [term])
             assert str(alone.value) == str(swept.value) == message
+
+    def test_lowest_failing_event_wins_across_cells(self):
+        # Event 0 fails only in the 10-day cell, event 1 at its trigger in
+        # every cell. The 1-hour cell alone would reach event 1 first, but
+        # the sweep replays event 0 in both cells before event 1.
+        s = scenario_a(Regime.MIQADO_ONLY)
+        s.events = [
+            event_a(),
+            LiquidationEvent(position=pos("100", "200", pid="healthy"), path_offset=0),
+        ]
+        with pytest.raises(ScenarioError) as swept:
+            run_sweep(s, ["0.1"], [HOUR, 10 * 24 * HOUR])
+        assert str(swept.value) == "event 0: path ends at 14400, before requested timestamp 867600"
 
 
 class TestRescuePriceBound:
