@@ -20,7 +20,7 @@ from pathlib import Path
 from .core import Amount, FslParams, Price, csv_decimal, ledger_context, to_decimal, write_csv
 from .errors import ConfigError, MiqadoError
 from .market import CpAmmPool, GbmParams, generate_gbm, load_price_csv, serialize_price_csv
-from .option import BsInputs, bs_call_price, optimal_premium_factor
+from .option import BsInputs, ModelInputError, bs_call_price, optimal_premium_factor
 from .protocol import MiqadoParams
 from .sim import (
     _CLASSES,
@@ -71,6 +71,13 @@ def _write_atomic(path: Path, data: str) -> None:
 # ---------------------------------------------------------------------------
 # price
 
+#: The `price` flag that sets each model input.
+_PRICE_FLAGS = {
+    "spot": "--spot", "strike": "--strike", "domestic_rate": "--rate",
+    "foreign_rate": "--foreign-rate", "volatility": "--sigma", "term": "--term",
+    "collateral": "--collateral",
+}
+
 
 def cmd_price(args: argparse.Namespace) -> int:
     try:
@@ -95,6 +102,9 @@ def cmd_price(args: argparse.Namespace) -> int:
             sigma=args.sigma,
             term=args.term,
         )
+    except ModelInputError as exc:
+        print(f"usage error: {exc.naming(_PRICE_FLAGS)}", file=sys.stderr)
+        return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -301,9 +311,6 @@ def load_config(config_path: Path, seed_override: int | None = None) -> RunConfi
         raise ConfigError("need either 'csv' or 'synthetic'", field="events")
     if "csv" in events_raw:
         events = load_events_csv(_csv(base, events_raw, "csv", "events."))
-        if pool is not None:
-            for ev in events:
-                ev.amm_pool = pool.copy()
     else:
         at = "events.synthetic."
         syn = _section(
@@ -323,7 +330,6 @@ def load_config(config_path: Path, seed_override: int | None = None) -> RunConfi
             collateral=_number(syn, "collateral", at, Decimal, Decimal(1)),
             borrow_rate=_number(syn, "borrow_rate", at, Decimal, Decimal("0.05")),
             max_term_seconds=max(terms_seconds),
-            amm_pool=pool,
         )
 
     gate = raw.get("supporter_gate", True)
@@ -337,6 +343,7 @@ def load_config(config_path: Path, seed_override: int | None = None) -> RunConfi
         fsl=fsl,
         miqado=miqado,
         regime=regime,
+        pool=pool,
         sold_fraction=_number(raw, "sold_fraction", "", Decimal, Decimal(1)),
         supporter_gate=gate,
         foreign_rate=_number(raw, "foreign_rate", "", float, 0.0),

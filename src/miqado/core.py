@@ -325,6 +325,21 @@ def is_liquidatable(pos: BorrowingPosition, p: Price, theta: Numeric) -> bool:
     return health_factor(pos, p, theta) < 1
 
 
+def _seizure(
+    pos: BorrowingPosition, p: Price, spread: Decimal, repaid: Decimal
+) -> tuple[Decimal, Decimal, bool]:
+    """(repaid, seized, shortfall) of a liquidation repaying `repaid` at p:
+    it seizes repaid * (1 + spread) / p, or, when that exceeds the
+    collateral, the whole balance and repays only what that covers."""
+    with ledger_context():
+        bonus = 1 + spread
+        seized = repaid * bonus / p.value
+        if seized <= pos.collateral.value:
+            return repaid, seized, False
+        seized = pos.collateral.value
+        return seized * p.value / bonus, seized, True
+
+
 def execute_fsl(
     pos: BorrowingPosition, p: Price, params: FslParams, repay: Amount
 ) -> FslOutcome:
@@ -346,14 +361,7 @@ def execute_fsl(
             raise CloseFactorViolationError(
                 f"repay {repay.value} exceeds close-factor bound {max_repay}"
             )
-        bonus = 1 + params.spread
-        repaid = repay.value
-        seized = repaid * bonus / p.value
-        shortfall = False
-        if seized > pos.collateral.value:
-            seized = pos.collateral.value
-            repaid = seized * p.value / bonus
-            shortfall = True
+        repaid, seized, shortfall = _seizure(pos, p, params.spread, repay.value)
         profit = repaid * params.spread
     pos.debt = pos.debt - Amount.debt(repaid)
     pos.collateral = pos.collateral - Amount.collateral(seized)
@@ -373,16 +381,11 @@ def fsl_post_health_factor(
     A pure counterfactual on the numbers; the position is never mutated
     and need not currently be liquidatable. A full close (close_factor 1
     with sufficient collateral) leaves no debt, so the result is the
-    +infinity sentinel. When the seizure would exceed the collateral, it
-    is clamped exactly as in :func:`execute_fsl`.
+    +infinity sentinel. The seizure is clamped to the collateral as in
+    :func:`execute_fsl`.
     """
     with ledger_context():
-        bonus = 1 + params.spread
-        repaid = pos.debt.value * params.close_factor
-        seized = repaid * bonus / p.value
-        if seized > pos.collateral.value:
-            seized = pos.collateral.value
-            repaid = seized * p.value / bonus
+        repaid, seized, _ = _seizure(pos, p, params.spread, pos.debt.value * params.close_factor)
         debt_after = pos.debt.value - repaid
         coll_after = pos.collateral.value - seized
     if debt_after == 0:

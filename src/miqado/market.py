@@ -195,9 +195,6 @@ class CpAmmPool:
         with ledger_context():
             return self.reserve_quote / self.reserve_base
 
-    def copy(self) -> "CpAmmPool":
-        return replace(self)
-
 
 def amm_swap_base_for_quote(
     pool: CpAmmPool, amount_base_in: Numeric
@@ -236,7 +233,7 @@ def direct_price_decline(
     frac = to_decimal(sold_fraction)
     if not 0 <= frac <= 1:
         raise ValueError("sold_fraction must lie in [0, 1]")
-    scratch = pool.copy()
+    scratch = replace(pool)
     before = scratch.spot
     with ledger_context():
         sold = seized.value * frac

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Mapping
 
 from .core import Amount, Price
 from .errors import InsufficientDataError
@@ -24,10 +25,25 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def _finite(value: float, what: str) -> float:
-    """`value`, or ValueError when the model gave no finite value."""
+class ModelInputError(ValueError):
+    """A model value that is undefined or out of the float range. `fields`
+    are the model inputs it was computed from: the `BsInputs` fields and
+    `collateral`."""
+
+    def __init__(self, what: str, *fields: str):
+        self.what, self.fields = what, fields
+        super().__init__(self.naming({}))
+
+    def naming(self, names: Mapping[str, str]) -> str:
+        """The message, with each input called by its name in `names`
+        (a flag or a config field), or by its own name when it has none."""
+        return f"{self.what}; check {', '.join(names.get(f, f) for f in self.fields)}"
+
+
+def _finite(value: float, what: str, *fields: str) -> float:
+    """`value`, or ModelInputError when the model gave no finite value."""
     if not math.isfinite(value):
-        raise ValueError(f"{what} is undefined or out of the float range ({value})")
+        raise ModelInputError(f"{what} is undefined or out of the float range ({value})", *fields)
     return value
 
 
@@ -58,27 +74,45 @@ class BsInputs:
             raise ValueError("term must be > 0")
 
 
+#: The inputs of the call price: every BsInputs field.
+_CALL_INPUTS = tuple(f.name for f in fields(BsInputs))
+
+
+def _discount(inputs: BsInputs, rate: str) -> float:
+    """exp(-rate * term) for the `rate` field, or ModelInputError when it
+    overflows a float."""
+    try:
+        return math.exp(-getattr(inputs, rate) * inputs.term)
+    except OverflowError:
+        raise ModelInputError(f"exp(-{rate} * term) overflows a float", rate, "term") from None
+
+
 def bs_call_price(inputs: BsInputs) -> float:
     """European call value S0 e^{-rf T} N(d1) - K e^{-r T} N(d2).
 
     d1 = (ln(S0/K) + (r - rf + sigma^2/2) T) / (sigma sqrt(T)) and
     d2 = d1 - sigma sqrt(T). Zero volatility degenerates to the
-    deterministic forward payoff max(S0 e^{-rf T} - K e^{-r T}, 0).
+    deterministic forward payoff max(S0 e^{-rf T} - K e^{-r T}, 0). A
+    value the formula cannot give raises ModelInputError naming its inputs.
     """
-    s0, k = inputs.spot, inputs.strike
-    disc_f = math.exp(-inputs.foreign_rate * inputs.term)
-    disc_d = math.exp(-inputs.domestic_rate * inputs.term)
-    vol_sqrt_t = inputs.volatility * math.sqrt(inputs.term)
+    s0, k, term = inputs.spot, inputs.strike, inputs.term
+    disc_f = _discount(inputs, "foreign_rate")
+    disc_d = _discount(inputs, "domestic_rate")
+    vol_sqrt_t = inputs.volatility * math.sqrt(term)
     if vol_sqrt_t == 0:
-        return _finite(max(s0 * disc_f - k * disc_d, 0.0), "call price")
-    d1 = (
-        math.log(s0 / k)
-        + (inputs.domestic_rate - inputs.foreign_rate + 0.5 * inputs.volatility**2)
-        * inputs.term
-    ) / vol_sqrt_t
+        return _finite(max(s0 * disc_f - k * disc_d, 0.0), "call price", *_CALL_INPUTS)
+    try:
+        d1 = (
+            math.log(s0 / k)
+            + (inputs.domestic_rate - inputs.foreign_rate + 0.5 * inputs.volatility**2) * term
+        ) / vol_sqrt_t
+    except ValueError:  # spot / strike underflowed to zero
+        raise ModelInputError("log(spot / strike) is undefined", "spot", "strike") from None
+    except OverflowError:
+        raise ModelInputError("volatility**2 overflows a float", "volatility") from None
     d2 = d1 - vol_sqrt_t
     price = s0 * disc_f * std_normal_cdf(d1) - k * disc_d * std_normal_cdf(d2)
-    return _finite(max(price, 0.0), "call price")
+    return _finite(max(price, 0.0), "call price", *_CALL_INPUTS)
 
 
 def optimal_premium_factor(
@@ -108,7 +142,8 @@ def optimal_premium_factor(
             term=term,
         )
     )
-    return _finite(price / _finite(collateral_value, "collateral value"), "premium factor")
+    collateral_value = _finite(collateral_value, "collateral value", "spot", "collateral")
+    return _finite(price / collateral_value, "premium factor", "spot", "collateral")
 
 
 def historical_volatility(path: PricePath, periods_per_year: float) -> float:

@@ -11,12 +11,12 @@ Replays liquidation events under three regimes:
 * hybrid: support runs first; positions whose supporter defaults (or that
   never attract support) fall through to fixed-spread liquidation.
 
-Events are processed sequentially and independently: one event's sale
-never moves another event's prices. One event loop, `run_sweep`, replays
-each event in every (premium factor, term) cell before the next event; a
-single scenario is a one-cell sweep. Everything is a deterministic
-function of the scenario value, so identical inputs reproduce identical
-reports byte for byte.
+Events are processed in order and independently: no sale moves the pool or the path.
+`run_sweep` decides each fact once, at the stage it depends on: per sweep,
+per event (the trigger liquidation, eligibility) or per (premium factor,
+term) cell (the gate, the session); a single scenario is a one-cell
+sweep. Everything is a deterministic function of the scenario value, so
+identical inputs reproduce identical reports byte for byte.
 
 External formats owned here: the events CSV
 (`position_id,debt,collateral,borrow_rate,path_offset`), the per-event
@@ -59,10 +59,11 @@ from .core import (
 )
 from .errors import InsufficientDataError, MiqadoError, ScenarioError
 from .market import CpAmmPool, PricePath, direct_price_decline
-from .option import historical_volatility
+from .option import ModelInputError, historical_volatility
 from .protocol import (
     MiqadoParams,
     SessionState,
+    SettlementOutcome,
     can_initiate,
     initiate,
     settle_at_maturity,
@@ -101,12 +102,10 @@ class Regime(Enum):
 @dataclass
 class LiquidationEvent:
     """One liquidation trigger: a position snapshot plus the path index at
-    which its health factor first dropped below one. The optional pool is
-    the venue where a liquidator would dump the seized collateral."""
+    which its health factor first dropped below one."""
 
     position: BorrowingPosition
     path_offset: int
-    amm_pool: CpAmmPool | None = None
 
 
 @dataclass
@@ -118,6 +117,8 @@ class Scenario:
     fsl: FslParams
     miqado: MiqadoParams
     regime: Regime
+    #: Where liquidators sell seized collateral; each sale is priced on its own copy.
+    pool: CpAmmPool | None = None
     sold_fraction: Decimal = Decimal(1)
     #: When true, supporters engage only if the premium factor is at or
     #: below the break-even factor. Payoff-table sweeps switch this off to
@@ -303,11 +304,6 @@ def _dec_or_none(value: Decimal | None) -> str | None:
     return None if value is None else dec_str(value)
 
 
-def _max_repay(pos: BorrowingPosition, params: FslParams) -> Amount:
-    with ledger_context():
-        return Amount.debt(pos.debt.value * params.close_factor)
-
-
 def _sum(values: Iterable[Decimal]) -> Decimal:
     total = Decimal(0)
     with ledger_context():
@@ -368,24 +364,50 @@ def path_volatility(path: PricePath) -> float:
     return historical_volatility(path, periods_per_year)
 
 
+#: The scenario's name for each input of the option model.
+_MODEL_INPUTS = {
+    "spot": "the trigger price", "strike": "debt", "domestic_rate": "borrow_rate",
+    "volatility": "sigma_override", "term": "sweep.terms_hours",
+}
+
+
 @contextmanager
 def _event_errors(idx: int):
     """Re-raise module errors, and the ValueError or ArithmeticError of a
-    model input out of range, as ScenarioError with the event index."""
+    model input out of range, as ScenarioError with the event index. A
+    model error names the config fields and event values it came from."""
     try:
         yield
     except ScenarioError:
         raise
+    except ModelInputError as exc:
+        raise ScenarioError(idx, exc.naming(_MODEL_INPUTS)) from exc
     except (MiqadoError, ValueError, ArithmeticError) as exc:
         raise ScenarioError(idx, str(exc)) from exc
 
 
+Released = tuple[Decimal, Decimal | None]
+_NOTHING_RELEASED: Released = (Decimal(0), None)
+
+
+def _liquidate(pos: BorrowingPosition, price: Price, s: Scenario) -> Released:
+    """Liquidate the position in place at `price`, repaying the
+    close-factor maximum: the value of the collateral seized, and the
+    pool's relative price decline when it is sold (None without a pool)."""
+    with ledger_context():
+        repay = Amount.debt(pos.debt.value * s.fsl.close_factor)
+        seized = execute_fsl(pos, price, s.fsl, repay).collateral_seized
+        release = seized.value * price.value
+    decline = None if s.pool is None else direct_price_decline(s.pool, seized, s.sold_fraction)
+    return release, decline
+
+
 def _trigger(
     idx: int, ev: LiquidationEvent, s: Scenario
-) -> tuple[Fraction, Fraction | float, Decimal]:
+) -> tuple[Fraction, Fraction | float, Released]:
     """Health factor at the trigger (which must be below one), health
-    factor after a maximal liquidation there, and that liquidation's
-    release: the counterfactual if the event were liquidated immediately."""
+    factor after a maximal liquidation there, and what that liquidation
+    released: the counterfactual if the event were liquidated immediately."""
     if not 0 <= ev.path_offset < len(s.path):
         raise ScenarioError(idx, f"path_offset {ev.path_offset} outside path")
     p0 = s.path[ev.path_offset].price
@@ -395,11 +417,7 @@ def _trigger(
             idx, f"health factor {float(hf_pre):.6f} at offset {ev.path_offset} is not below one"
         )
     hf_fsl = fsl_post_health_factor(ev.position, p0, s.fsl)
-    pos = copy.copy(ev.position)
-    out = execute_fsl(pos, p0, s.fsl, _max_repay(pos, s.fsl))
-    with ledger_context():
-        release = out.collateral_seized.value * p0.value
-    return hf_pre, hf_fsl, release
+    return hf_pre, hf_fsl, _liquidate(copy.copy(ev.position), p0, s)
 
 
 def _healthy_share(values: Sequence[Fraction | float]) -> Decimal:
@@ -438,14 +456,40 @@ def _cell_report(
     )
 
 
+def _row(
+    idx: int,
+    ev: LiquidationEvent,
+    params: MiqadoParams,
+    klass: str,
+    released: Released = _NOTHING_RELEASED,
+    settlement: SettlementOutcome | None = None,
+) -> OutcomeRow:
+    """The event's row in the cell of `params`; a session's premium is its restraint."""
+    release, decline = released
+    return OutcomeRow(
+        event_index=idx,
+        position_id=ev.position.id,
+        premium_factor=params.premium_factor,
+        term_seconds=params.term_seconds,
+        outcome_class=klass,
+        supporter_payoff=None if settlement is None else settlement.supporter_payoff,
+        premium_value=None if settlement is None else settlement.premium_value,
+        release_usd=release,
+        restraint_usd=Decimal(0) if settlement is None else settlement.premium_value,
+        price_decline=decline,
+    )
+
+
 def _run_event(
     idx: int,
     ev: LiquidationEvent,
     s: Scenario,
     params: MiqadoParams,
     sigma: float,
+    at_trigger: Released,
 ) -> OutcomeRow:
-    """Replay one event of one cell from its trigger, already checked.
+    """Replay one eligible event in one cell: the supporter gate, then the
+    session. A declined event releases what the regime does at the trigger.
 
     Rescue scan: between initiation and maturity the position's debt D
     and topped-up collateral C do not change, so its health factor
@@ -460,46 +504,12 @@ def _run_event(
     pos = copy.copy(ev.position)
     theta = s.fsl.theta
 
-    def row(klass, settlement=None, release=Decimal(0), restraint=Decimal(0), decline=None):
-        return OutcomeRow(
-            event_index=idx,
-            position_id=ev.position.id,
-            premium_factor=params.premium_factor,
-            term_seconds=params.term_seconds,
-            outcome_class=klass,
-            supporter_payoff=None if settlement is None else settlement.supporter_payoff,
-            premium_value=None if settlement is None else settlement.premium_value,
-            release_usd=release,
-            restraint_usd=restraint,
-            price_decline=decline,
-        )
-
-    def fsl_here(price: Price, klass: str, settlement=None, restraint=Decimal(0)):
-        out = execute_fsl(pos, price, s.fsl, _max_repay(pos, s.fsl))
-        with ledger_context():
-            released = out.collateral_seized.value * price.value
-        decline = None
-        if ev.amm_pool is not None:
-            decline = direct_price_decline(ev.amm_pool, out.collateral_seized, s.sold_fraction)
-        return row(klass, settlement, released, restraint, decline)
-
-    if s.regime is Regime.FSL_ONLY:
-        return fsl_here(p0, CLASS_FSL)
-
-    if not can_initiate(pos, p0, theta, params):
-        if s.regime is Regime.HYBRID:
-            return fsl_here(p0, CLASS_INELIGIBLE)
-        return row(CLASS_INELIGIBLE)
-
     if s.supporter_gate and not supporter_decision(
         pos, p0, theta, params, sigma, s.foreign_rate
     ):
-        if s.regime is Regime.HYBRID:
-            return fsl_here(p0, CLASS_DECLINED)
-        return row(CLASS_DECLINED)
+        return _row(idx, ev, params, CLASS_DECLINED, at_trigger)
 
     session = initiate(pos, p0, theta, params, t0)
-    restraint = session.premium_value.value
     maturity_idx = s.path.index_at_or_after(t0 + params.term_seconds)
 
     rescue_hf = params.rescue_above_hf
@@ -509,16 +519,17 @@ def _run_event(
             pt = s.path[i]
             if pt.price.value >= bound:
                 outcome = terminate(session, pos, pt.price, pt.timestamp, params)
-                return row(CLASS_TERMINATED, outcome, restraint=restraint)
+                return _row(idx, ev, params, CLASS_TERMINATED, settlement=outcome)
 
     maturity_point = s.path[maturity_idx]
     outcome = settle_at_maturity(session, pos, maturity_point.price, maturity_point.timestamp)
     if outcome.state is SessionState.EXERCISED:
         klass = CLASS_EXERCISE_PROFIT if outcome.supporter_payoff > 0 else CLASS_EXERCISE_LOSS
-        return row(klass, outcome, restraint=restraint)
+        return _row(idx, ev, params, klass, settlement=outcome)
+    released = _NOTHING_RELEASED
     if s.regime is Regime.HYBRID:
-        return fsl_here(maturity_point.price, CLASS_DEFAULT, outcome, restraint)
-    return row(CLASS_DEFAULT, outcome, restraint=restraint)
+        released = _liquidate(pos, maturity_point.price, s)
+    return _row(idx, ev, params, CLASS_DEFAULT, released, outcome)
 
 
 def _rescue_bound(
@@ -574,12 +585,14 @@ def run_sweep(
     """Replay the scenario in every (premium factor, term) cell, ordered
     term-major like a payoff table is usually read.
 
-    Once per sweep: each cell's parameters, the regime's buffer rule and
-    the gate's volatility. Then, for each event in order: its trigger
-    check and liquidation, then its replay in every cell. Last, each
-    cell's rows are folded into its report. A failing event raises where
-    it fails: the sweep names its lowest-index failing event, in the
-    first cell (term-major) where that event fails."""
+    Per sweep: each cell's parameters, the regime's buffer rule and the
+    gate's volatility. Per event, in order: the trigger check, the trigger
+    liquidation (the FSL baseline and the outcome of any cell liquidated
+    there) and, under fsl_only or outside the engagement window, the class
+    of every cell. Per cell: the supporter gate and the session. Last, the
+    rows are folded into each cell's report. The sweep names its
+    lowest-index failing event, in the first cell (term-major) where it
+    fails."""
     if not premium_factors or not terms_seconds:
         raise ValueError("sweep grids must be non-empty")
     s = base
@@ -603,12 +616,21 @@ def run_sweep(
     rows: list[list[OutcomeRow]] = [[] for _ in grid]
     for idx, ev in enumerate(s.events):
         with _event_errors(idx):
-            hf, hf_fsl, release = _trigger(idx, ev, s)
+            hf, hf_fsl, liquidation = _trigger(idx, ev, s)
+            at_trigger = _NOTHING_RELEASED if s.regime is Regime.MIQADO_ONLY else liquidation
+            klass = None
+            if s.regime is Regime.FSL_ONLY:
+                klass = CLASS_FSL
+            elif not can_initiate(ev.position, s.path[ev.path_offset].price, s.fsl.theta, miqado):
+                klass = CLASS_INELIGIBLE
             for params, cell_rows in zip(grid, rows):
-                cell_rows.append(_run_event(idx, ev, s, params, sigma))
+                if klass is None:
+                    cell_rows.append(_run_event(idx, ev, s, params, sigma, at_trigger))
+                else:
+                    cell_rows.append(_row(idx, ev, params, klass, at_trigger))
         hf_pre.append(hf)
         hf_post_fsl.append(hf_fsl)
-        released.append(release)
+        released.append(liquidation[0])
 
     common = dict(
         regime=s.regime,
@@ -650,7 +672,6 @@ def synthesize_events(
     collateral: Numeric = 1,
     borrow_rate: Numeric = "0.05",
     max_term_seconds: int = 86_400,
-    amm_pool: CpAmmPool | None = None,
 ) -> list[LiquidationEvent]:
     """Sample desk-scale liquidation events along a path.
 
@@ -699,13 +720,7 @@ def synthesize_events(
                 collateral=Amount.collateral(coll),
                 borrow_rate=to_decimal(borrow_rate),
             )
-        events.append(
-            LiquidationEvent(
-                position=pos,
-                path_offset=offset,
-                amm_pool=None if amm_pool is None else amm_pool.copy(),
-            )
-        )
+        events.append(LiquidationEvent(position=pos, path_offset=offset))
     return events
 
 

@@ -37,6 +37,57 @@ SWEEP_DIGESTS = {
     "outcomes.csv": "78f075a2432b9b1d24fee75fdb60e06ba869e858c96d6696bd29062ad24a7c89",
 }
 
+#: Changes to a fixture config, each taking the sweep down another outcome
+#: path, and the sha256 of each `simulate` output under it.
+OUTCOME_PATH_PINS = {
+    # 750 fsl rows, each with a price decline.
+    "fsl_only": (
+        "config_sweep.json",
+        {"regime": "fsl_only"},
+        {
+            "report.json": "b88610d8309c455acf8df239c8c1c40b8baa020bc7b58c0f12e48e53bf6877fb",
+            "payoff_table.csv": "887958a1195fd5036fc82c4f156dc46cfe84ccd536b173c1c6009fa452b0ce95",
+            "metrics.csv": "a62a418ed2db3876f0a251fd8c10f593894e4aa782c3eca0a3a17fcbda4c7c85",
+            "outcomes.csv": "fca3ea0f3796dd3b902dd18818fcacb2066bb06849a676ba60f8b0706299d2fe",
+        },
+    ),
+    # Terminated, exercise and default rows, and 92 declined rows.
+    "miqado_only-gated-rescue": (
+        "config_sweep.json",
+        {"regime": "miqado_only", "supporter_gate": True,
+         "miqado": {"k_re": "0.5", "buffer": "0", "rescue_above_hf": "1.0"}},
+        {
+            "report.json": "7d4efb6a25e2a75a53944c88ff8c882d04dc02ada6d8d69942d5671618fd1e31",
+            "payoff_table.csv": "21288aeaae9016a03ac07627128418642208049aa3162d6c74364f358002a778",
+            "metrics.csv": "296ff4b640a86e3634d5074d732d4c6a5ad18624b49b22e0abc8330374103d04",
+            "outcomes.csv": "a2c0e1e0637dc5647423dc4f2db5cb5ce14d0db24f4f4fe063ab6396cc3995f0",
+        },
+    ),
+    # 480 ineligible rows and 36 declined rows, each liquidated at its trigger.
+    "hybrid-gated-buffer": (
+        "config_sweep.json",
+        {"regime": "hybrid", "supporter_gate": True,
+         "miqado": {"k_re": "0.5", "buffer": "0.05", "rescue_above_hf": "1.0"}},
+        {
+            "report.json": "5af3fa623f18d2f0bbe806db5a19cc8e78ef2e57bdfe52dda39705c588542c31",
+            "payoff_table.csv": "9eef9c00da719974d4e94ec41d3ebf5bb5af96ab42849c5c8f0166881067524e",
+            "metrics.csv": "ebc814976998d7d477d34aa0556132e91e8c015b9f41f6f8449e6b202801fdfc",
+            "outcomes.csv": "72bd6c66bb85fb05260adb976751f4bc06a9d0d942b9ff32f7d68777bc053db9",
+        },
+    ),
+    # CSV events with a pool: the default liquidated at maturity records a decline.
+    "hand-csv-pool": (
+        "config_hand.json",
+        {"pool": {"reserve_quote": "1000", "reserve_base": "1000", "fee": "0.003"}},
+        {
+            "report.json": "817cf8089d55111a3427bf4ff1c0b7418d367321b8b43b1f17a74fc8232143eb",
+            "payoff_table.csv": "ec324fe41365f724c97224a8af31ddcfe5a34ae7ce91f3260e5f2354dbafa662",
+            "metrics.csv": "1fa1217c42cfbd585c563c36bb3932012693f4b4a0205da32698834bb006235f",
+            "outcomes.csv": "a6fc74629d5c9224b378c76d277ab45b2ca7a5ffc52032db9c71b1d95e5c3ef9",
+        },
+    ),
+}
+
 # Frozen Monte-Carlo oracle value for (100, 100, r=0.05, rf=0, sigma=0.2, T=1).
 MC_ATM_CALL = 10.452096058627289
 
@@ -100,13 +151,13 @@ class TestPrice:
             pytest.param({"--collateral": "1e400"}, "usage error", id="collateral=1e400"),
             pytest.param(
                 {"--spot": "1e-300", "--strike": "1e300", "--sigma": "100", "--term": "1e10"},
-                "usage error",
+                "log(spot / strike) is undefined; check --spot, --strike",
                 id="log(spot/strike)-undefined",
             ),
             pytest.param(
                 {"--spot": "1e300", "--strike": "1e-300", "--sigma": "0", "--term": "1e10",
                  "--rate": "-1"},
-                "usage error",
+                "exp(-domestic_rate * term) overflows a float; check --rate, --term",
                 id="discount-overflows",
             ),
             pytest.param(
@@ -233,6 +284,24 @@ class TestSimulate:
         assert code == 0
         for name, digest in SWEEP_DIGESTS.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("case", list(OUTCOME_PATH_PINS))
+    def test_outcome_path_pinned_digests(self, capsys, tmp_path, case):
+        fixture, changes, digests = OUTCOME_PATH_PINS[case]
+        config = json.loads((FIXTURES / fixture).read_text())
+        config.update(changes)
+        # referenced CSVs resolve relative to the config file
+        for section in ("path", "events"):
+            if "csv" in config[section]:
+                config[section]["csv"] = str(FIXTURES / config[section]["csv"])
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--config", str(tmp_path / "config.json"), "--out", str(out)
+        )
+        assert code == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
     def test_same_seed_byte_identical(self, capsys, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

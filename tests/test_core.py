@@ -6,7 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from miqado.core import (
@@ -232,6 +232,30 @@ class TestFslPostHealthFactor:
         pos = make_pos("1000", "10")
         hf_after = fsl_post_health_factor(pos, Price(Decimal(1)), FSL)
         assert hf_after == 0  # all collateral gone, debt remains
+
+    @given(
+        d=pos_decimals, c=pos_decimals, p=pos_decimals,
+        theta=unit_fractions,
+        spread=st.decimals(min_value=Decimal("0.000001"), max_value=Decimal("0.5"),
+                           places=6, allow_nan=False, allow_infinity=False),
+        k=st.one_of(
+            st.just(Decimal(1)),
+            st.decimals(min_value=Decimal("0.000001"), max_value=Decimal("1"),
+                        places=6, allow_nan=False, allow_infinity=False),
+        ),
+    )
+    @settings(max_examples=200)
+    def test_equals_health_factor_after_maximal_liquidation(self, d, c, p, theta, spread, k):
+        pos = make_pos(str(d), str(c))
+        price = Price(p)
+        params = FslParams(theta=theta, close_factor=k, spread=spread)
+        assume(is_liquidatable(pos, price, theta))
+        predicted = fsl_post_health_factor(pos, price, params)
+        execute_fsl(pos, price, params, Amount.debt(d * k))
+        if pos.is_closed:
+            assert predicted == math.inf
+        else:
+            assert predicted == health_factor(pos, price, theta)
 
 
 class TestAmountAndPrice:

@@ -25,6 +25,7 @@ from miqado.errors import InsufficientDataError, UnitMismatchError
 from miqado.market import PricePath
 from miqado.option import (
     BsInputs,
+    ModelInputError,
     bs_call_price,
     historical_volatility,
     optimal_premium_factor,
@@ -230,6 +231,28 @@ class TestBsCallPrice:
         assert bs_call_price(BsInputs(s0, k, 0.05, 0.0, sigma * 1.5, t)) >= base - 1e-12
         assert bs_call_price(BsInputs(s0 * 1.1, k, 0.05, 0.0, sigma, t)) >= base - 1e-12
         assert bs_call_price(BsInputs(s0, k * 1.1, 0.05, 0.0, sigma, t)) <= base + 1e-12
+
+    @pytest.mark.parametrize(
+        "inputs, fields",
+        [
+            pytest.param((1e-300, 1e300, 0.0, 0.0, 100.0, 1e10), ("spot", "strike"), id="log"),
+            pytest.param(
+                (100.0, 100.0, 0.0, -1e6, 0.2, 1.0), ("foreign_rate", "term"), id="disc_f"
+            ),
+            pytest.param(
+                (1e300, 1e-300, -1.0, 0.0, 0.0, 1e10), ("domestic_rate", "term"), id="disc_d"
+            ),
+            pytest.param((100.0, 100.0, 0.0, 0.0, 1e200, 1.0), ("volatility",), id="sigma**2"),
+        ],
+    )
+    def test_value_out_of_float_range_names_inputs(self, inputs, fields):
+        with pytest.raises(ModelInputError) as err:
+            bs_call_price(BsInputs(*inputs))
+        assert isinstance(err.value, ValueError)
+        assert err.value.fields == fields
+        assert str(err.value).endswith("; check " + ", ".join(fields))
+        flags = {f: f"--{f}" for f in fields}
+        assert err.value.naming(flags).endswith("; check " + ", ".join(flags.values()))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -4,15 +4,19 @@ The fixtures here are small enough that every expected number was worked
 out by hand from the mechanism definitions before the engine ran them.
 """
 
+import json
 import math
+from collections import Counter
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from miqado.cli import load_config
 from miqado.core import Amount, BorrowingPosition, FslParams, Price, health_factor
 from miqado.errors import CsvFormatError, InsufficientDataError, ScenarioError
 from miqado.market import CpAmmPool, GbmParams, PricePath, generate_gbm, load_price_csv
@@ -33,6 +37,7 @@ from miqado.sim import (
     synthesize_events,
 )
 
+FIXTURES = Path(__file__).parent / "fixtures"
 FSL = FslParams(theta=Decimal("0.8"), close_factor=Decimal("0.5"), spread=Decimal("0.05"))
 HOUR = 3600
 
@@ -58,18 +63,19 @@ def path_a():
     )
 
 
-def event_a(pool=None):
+def event_a():
     # HF at offset 1: 130 * 0.9 * 0.8 / 100 = 0.936
-    return LiquidationEvent(position=pos("100", "130"), path_offset=1, amm_pool=pool)
+    return LiquidationEvent(position=pos("100", "130"), path_offset=1)
 
 
 def scenario_a(regime, pool=None, **kw):
     return Scenario(
-        events=[event_a(pool)],
+        events=[event_a()],
         path=path_a(),
         fsl=FSL,
         miqado=miq(),
         regime=regime,
+        pool=pool,
         supporter_gate=False,
         **kw,
     )
@@ -536,7 +542,14 @@ class TestSupporterGate:
         # exp(-foreign_rate * term) overflows a float in the option value
         s = self.gated_scenario(Regime.MIQADO_ONLY, "0.05")
         s.foreign_rate = -1e6
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(ScenarioError, match="foreign_rate") as err:
+            run_scenario(s)
+        assert err.value.event_index == 0
+
+    def test_model_volatility_out_of_range_names_sigma_override(self):
+        # volatility**2 overflows a float in the option value
+        s = self.gated_scenario(Regime.MIQADO_ONLY, "0.05", sigma=1e200)
+        with pytest.raises(ScenarioError, match="check sigma_override$") as err:
             run_scenario(s)
         assert err.value.event_index == 0
 
@@ -750,13 +763,12 @@ def gated_rescue_scenario(regime=Regime.HYBRID):
         reserve_quote=Decimal("10000000"), reserve_base=Decimal("100000"), fee=Decimal("0.003")
     )
     return Scenario(
-        events=synthesize_events(
-            path, FSL.theta, count=12, seed=3, max_term_seconds=3 * HOUR, amm_pool=pool
-        ),
+        events=synthesize_events(path, FSL.theta, count=12, seed=3, max_term_seconds=3 * HOUR),
         path=path,
         fsl=FSL,
         miqado=miq(rescue_above_hf=Decimal("1.0")),
         regime=regime,
+        pool=pool,
         sold_fraction=Decimal("0.95"),
         supporter_gate=True,
     )
@@ -764,9 +776,44 @@ def gated_rescue_scenario(regime=Regime.HYBRID):
 
 class TestSweepSharesTriggerFacts:
     """A sweep replays each event in every cell before the next event, and
-    checks each trigger once for all cells. Every cell must still equal a
-    standalone replay of the same (lambda, term), and the sweep fails at
-    its lowest-index failing event."""
+    checks, liquidates and tests each trigger for eligibility once for all
+    cells. Every cell must still equal a standalone replay of the same
+    (lambda, term), and the sweep fails at its lowest-index failing event."""
+
+    def test_trigger_rows_equal_the_fsl_only_liquidation(self, tmp_path):
+        # The sweep fixture in hybrid with the gate on, buffer 0.05 and
+        # rescue at 1.0: every ineligible and declined event is liquidated
+        # at its trigger, exactly as under fsl_only.
+        config = json.loads((FIXTURES / "config_sweep.json").read_text())
+        config.update(supporter_gate=True)
+        config["miqado"].update(buffer="0.05", rescue_above_hf="1.0")
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        base = load_config(tmp_path / "config.json")
+        grid = (base.sweep_lambdas, base.sweep_terms_seconds)
+        fsl = run_sweep(replace(base, regime=Regime.FSL_ONLY), *grid)
+        liquidated = {r.event_index: r for r in fsl.cells[0][2].results}
+        rows = [r for _, _, report in run_sweep(base, *grid).cells for r in report.results]
+        at_trigger = [r for r in rows if r.outcome_class in ("ineligible", "declined")]
+        assert Counter(r.outcome_class for r in at_trigger) == {"ineligible": 480, "declined": 36}
+        for r in at_trigger:
+            fsl_row = liquidated[r.event_index]
+            assert r.price_decline is not None
+            assert (r.release_usd, r.price_decline) == (fsl_row.release_usd, fsl_row.price_decline)
+
+    @pytest.mark.parametrize("regime", [Regime.FSL_ONLY, Regime.HYBRID])
+    def test_events_share_the_scenario_pool_without_draining_it(self, regime):
+        pool = CpAmmPool(
+            reserve_quote=Decimal("900"), reserve_base=Decimal("1000"), fee=Decimal("0.003")
+        )
+        s = scenario_a(regime, pool=pool, sold_fraction=Decimal("0.5"))
+        s.path = path_b()
+        s.events = [event_a(), event_a()]
+        s.miqado = miq(term=2 * HOUR)
+        sweep = run_sweep(s, ["0.1"], [2 * HOUR])
+        first, second = sweep.cells[0][2].results
+        assert first.price_decline is not None
+        assert first.price_decline == second.price_decline
+        assert (pool.reserve_quote, pool.reserve_base) == (Decimal("900"), Decimal("1000"))
 
     @pytest.mark.parametrize("regime", list(Regime))
     def test_cells_equal_standalone_runs(self, regime):
