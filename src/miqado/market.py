@@ -78,6 +78,11 @@ class PricePath:
         """Every point's timestamp, built once per path."""
         return tuple(pt.timestamp for pt in self.points)
 
+    @functools.cached_property
+    def prices(self) -> tuple[Decimal, ...]:
+        """Every point's price value, built once per path."""
+        return tuple(pt.price.value for pt in self.points)
+
     def index_at_or_after(self, timestamp: int) -> int:
         """Index of the first point with timestamp >= the argument."""
         stamps = self._stamps

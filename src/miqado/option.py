@@ -131,7 +131,9 @@ def optimal_premium_factor(
     """
     collateral_value = float(c_t0.value) * float(p_t0.value)
     if collateral_value == 0:
-        raise ZeroDivisionError("collateral value is zero, premium factor undefined")
+        raise ModelInputError(
+            "collateral value is zero, premium factor undefined", "spot", "collateral"
+        )
     price = bs_call_price(
         BsInputs(
             spot=float(p_t0.value),

@@ -266,7 +266,6 @@ def settle_at_maturity(
 def supporter_decision(
     pos: BorrowingPosition,
     p: Price,
-    theta: Numeric,
     params: MiqadoParams,
     sigma: float,
     foreign_rate: float = 0.0,
@@ -276,9 +275,9 @@ def supporter_decision(
     The break-even factor prices the takeover right as a European call
     with strike equal to the current outstanding debt, domestic rate equal
     to the position's borrow rate, and the given volatility. Ties engage.
+    Eligibility is not tested here: `initiate` enforces the engagement
+    window.
     """
-    if not can_initiate(pos, p, theta, params):
-        raise NotEligibleError(f"position {pos.id} is outside the engagement window")
     lam_star = optimal_premium_factor(
         p,
         pos.collateral,

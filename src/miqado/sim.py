@@ -29,12 +29,14 @@ from __future__ import annotations
 import copy
 import json
 import math
+from bisect import bisect_left
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
@@ -427,19 +429,25 @@ def _healthy_share(values: Sequence[Fraction | float]) -> Decimal:
 
 
 def _cell_report(
-    results: list[OutcomeRow], premium_factor: Decimal, hf_pre: list[Fraction], common: dict
+    results: list[OutcomeRow],
+    params: MiqadoParams,
+    hf_pre: list[Fraction],
+    common: dict,
+    table: list[PayoffRow],
 ) -> MetricsReport:
     """Fold one cell's outcome rows into its report. `common` holds the
     report fields that no cell changes: the regime, the health factors at
     the trigger and after a maximal liquidation there, and the release if
-    every event were liquidated at its trigger."""
+    every event were liquidated at its trigger. `table` is the sweep's
+    payoff table; the report holds the cell's own row of it."""
+    cell = (params.premium_factor, params.term_seconds)
     release = _sum(r.release_usd for r in results)
     baseline = common["fsl_baseline_release_usd"]
     reduction: Decimal | None = None
     if baseline > 0:
         with ledger_context():
             reduction = 1 - release / baseline
-    lam = Fraction(premium_factor)
+    lam = Fraction(params.premium_factor)
     hf_post_miq = [hf * (1 + lam) for hf in hf_pre]
     return MetricsReport(
         **common,
@@ -450,7 +458,7 @@ def _cell_report(
         release_reduction=reduction,
         hf_post_miqado=DistSummary.from_values(hf_post_miq),
         healthy_fraction_miqado=_healthy_share(hf_post_miq),
-        payoff_rows=payoff_rows(results),
+        payoff_rows=[row for row in table if (row.premium_factor, row.term_seconds) == cell],
         price_declines=[r.price_decline for r in results if r.price_decline is not None],
         results=results,
     )
@@ -487,39 +495,39 @@ def _run_event(
     params: MiqadoParams,
     sigma: float,
     at_trigger: Released,
+    peaks: list[Decimal],
 ) -> OutcomeRow:
     """Replay one eligible event in one cell: the supporter gate, then the
     session. A declined event releases what the regime does at the trigger.
-
-    Rescue scan: between initiation and maturity the position's debt D
-    and topped-up collateral C do not change, so its health factor
-    C * p * theta / D reaches the borrower's threshold h exactly when the
-    price p reaches the bound h * D / (C * theta). The bound is computed
-    once per event and cell as an exact Fraction (see `_rescue_bound`),
-    and each path point is tested with one exact Decimal-to-Fraction
-    comparison instead of a health factor.
+    The borrower rescues the session at the first point after initiation
+    and before maturity where the topped-up health factor reaches
+    `rescue_above_hf`. The health factor rises with the price, so that is
+    where the path's running peak first reaches it: a bisection over the
+    peaks, with `health_factor` as the key. The event's cells share one
+    `peaks` list; a cell rebuilds it only if its maturity lies past the end.
     """
     point = s.path[ev.path_offset]
     p0, t0 = point.price, point.timestamp
     pos = copy.copy(ev.position)
     theta = s.fsl.theta
 
-    if s.supporter_gate and not supporter_decision(
-        pos, p0, theta, params, sigma, s.foreign_rate
-    ):
+    if s.supporter_gate and not supporter_decision(pos, p0, params, sigma, s.foreign_rate):
         return _row(idx, ev, params, CLASS_DECLINED, at_trigger)
 
     session = initiate(pos, p0, theta, params, t0)
     maturity_idx = s.path.index_at_or_after(t0 + params.term_seconds)
 
-    rescue_hf = params.rescue_above_hf
-    bound = None if rescue_hf is None else _rescue_bound(pos, theta, Fraction(rescue_hf))
-    if bound is not None:
-        for i in range(ev.path_offset + 1, maturity_idx):
+    h = params.rescue_above_hf
+    if h is not None:
+        start = ev.path_offset + 1
+        n = maturity_idx - start
+        if len(peaks) < n:
+            peaks[:] = accumulate(s.path.prices[start:maturity_idx], max)
+        i = start + bisect_left(peaks, h, 0, n, key=lambda v: health_factor(pos, Price(v), theta))
+        if i < maturity_idx:
             pt = s.path[i]
-            if pt.price.value >= bound:
-                outcome = terminate(session, pos, pt.price, pt.timestamp, params)
-                return _row(idx, ev, params, CLASS_TERMINATED, settlement=outcome)
+            outcome = terminate(session, pos, pt.price, pt.timestamp, params)
+            return _row(idx, ev, params, CLASS_TERMINATED, settlement=outcome)
 
     maturity_point = s.path[maturity_idx]
     outcome = settle_at_maturity(session, pos, maturity_point.price, maturity_point.timestamp)
@@ -532,19 +540,6 @@ def _run_event(
     return _row(idx, ev, params, CLASS_DEFAULT, released, outcome)
 
 
-def _rescue_bound(
-    pos: BorrowingPosition, theta: Decimal, threshold: Fraction
-) -> Fraction | None:
-    """Price bound of the rescue test: the position's health factor is at
-    least `threshold` exactly at the prices at or above the bound, or at
-    none when the bound is None."""
-    scale = Fraction(pos.collateral.value) * Fraction(theta)
-    if scale:
-        return threshold * Fraction(pos.debt.value) / scale
-    # No collateral: the health factor is zero at every price.
-    return Fraction(0) if threshold <= 0 else None
-
-
 # ---------------------------------------------------------------------------
 # Sweeps
 
@@ -555,13 +550,9 @@ class SweepResult:
 
     regime: Regime
     cells: list[tuple[Decimal, int, MetricsReport]]
-
-    @property
-    def payoff_rows(self) -> list[PayoffRow]:
-        rows: list[PayoffRow] = []
-        for _, _, report in self.cells:
-            rows.extend(report.payoff_rows)
-        return rows
+    #: The payoff table of every cell's outcome rows: the table that
+    #: `analyze` prints for the sweep's outcomes.csv.
+    payoff_rows: list[PayoffRow]
 
     def to_json_dict(self) -> dict:
         return {
@@ -590,7 +581,8 @@ def run_sweep(
     liquidation (the FSL baseline and the outcome of any cell liquidated
     there) and, under fsl_only or outside the engagement window, the class
     of every cell. Per cell: the supporter gate and the session. Last, the
-    rows are folded into each cell's report. The sweep names its
+    rows are folded into the sweep's payoff table and each cell's report,
+    which holds the cell's row of that table. The sweep names its
     lowest-index failing event, in the first cell (term-major) where it
     fails."""
     if not premium_factors or not terms_seconds:
@@ -619,13 +611,14 @@ def run_sweep(
             hf, hf_fsl, liquidation = _trigger(idx, ev, s)
             at_trigger = _NOTHING_RELEASED if s.regime is Regime.MIQADO_ONLY else liquidation
             klass = None
+            peaks: list[Decimal] = []
             if s.regime is Regime.FSL_ONLY:
                 klass = CLASS_FSL
             elif not can_initiate(ev.position, s.path[ev.path_offset].price, s.fsl.theta, miqado):
                 klass = CLASS_INELIGIBLE
             for params, cell_rows in zip(grid, rows):
                 if klass is None:
-                    cell_rows.append(_run_event(idx, ev, s, params, sigma, at_trigger))
+                    cell_rows.append(_run_event(idx, ev, s, params, sigma, at_trigger, peaks))
                 else:
                     cell_rows.append(_row(idx, ev, params, klass, at_trigger))
         hf_pre.append(hf)
@@ -639,11 +632,12 @@ def run_sweep(
         hf_post_fsl=DistSummary.from_values(hf_post_fsl),
         healthy_fraction_fsl=_healthy_share(hf_post_fsl),
     )
+    table = payoff_rows(r for cell_rows in rows for r in cell_rows)
     cells = [
-        (p.premium_factor, p.term_seconds, _cell_report(r, p.premium_factor, hf_pre, common))
+        (p.premium_factor, p.term_seconds, _cell_report(r, p, hf_pre, common, table))
         for p, r in zip(grid, rows)
     ]
-    return SweepResult(regime=s.regime, cells=cells)
+    return SweepResult(regime=s.regime, cells=cells, payoff_rows=table)
 
 
 def run_scenario(scenario: Scenario) -> MetricsReport:

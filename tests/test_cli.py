@@ -147,7 +147,16 @@ class TestPrice:
             pytest.param({"--rate": "nan"}, "--rate", id="rate=nan"),
             pytest.param({"--term": "abc"}, "--term", id="term=abc"),
             # Finite flags whose model value is undefined or not finite.
-            pytest.param({"--collateral": "1e-400"}, "usage error", id="collateral=1e-400"),
+            pytest.param(
+                {"--collateral": "1e-400"},
+                "collateral value is zero, premium factor undefined; check --spot, --collateral",
+                id="collateral=1e-400",
+            ),
+            pytest.param(
+                {"--spot": "1e-200", "--collateral": "1e-200"},
+                "collateral value is zero, premium factor undefined; check --spot, --collateral",
+                id="spot*collateral=1e-400",
+            ),
             pytest.param({"--collateral": "1e400"}, "usage error", id="collateral=1e400"),
             pytest.param(
                 {"--spot": "1e-300", "--strike": "1e300", "--sigma": "100", "--term": "1e10"},
@@ -496,14 +505,27 @@ class TestAnalyze:
     # cells' totals by half a quantum per row and per cell. The hand
     # fixture's values need no rounding.
     @pytest.mark.parametrize(
-        "config_name, slack",
+        "config_name, grid, slack",
         [
-            pytest.param("config_hand.json", 0, id="hand"),
-            pytest.param("config_sweep.json", Decimal("0.5e-18"), id="sweep"),
+            pytest.param("config_hand.json", None, 0, id="hand"),
+            pytest.param("config_sweep.json", None, Decimal("0.5e-18"), id="sweep"),
+            # Both tables are ordered by term, then premium factor, whatever
+            # the order of the config's grid.
+            pytest.param(
+                "config_sweep.json",
+                {"lambdas": ["0.20", "0.01", "0.05"], "terms_hours": [24, 1]},
+                Decimal("0.5e-18"),
+                id="sweep-unsorted-grid",
+            ),
         ],
     )
-    def test_recomputes_simulate_outputs(self, capsys, tmp_path, config_name, slack):
+    def test_recomputes_simulate_outputs(self, capsys, tmp_path, config_name, grid, slack):
         config = FIXTURES / config_name
+        if grid is not None:
+            raw = json.loads(config.read_text())
+            raw["sweep"] = grid
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(raw))
         run_cli(capsys, "simulate", "--config", str(config), "--out", str(tmp_path))
         events = load_config(config).events
         (tmp_path / "events.csv").write_text(serialize_events_csv(events))

@@ -285,7 +285,7 @@ class TestOptimalPremiumFactor:
         assert lam == pytest.approx(MC_ATM_CALL / 1000.0, rel=0.005)
 
     def test_zero_collateral_rejected(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ModelInputError, match="value is zero.*; check spot, collateral$"):
             optimal_premium_factor(
                 Price(Decimal(100)), Amount.collateral(0), 100.0, 0.05, 0.0, 0.2, 1.0
             )

@@ -256,9 +256,7 @@ class TestSupporterDecision:
     def test_worthless_option_declined(self):
         # sigma 0, strike far above the deterministic forward: value 0
         pos = make_pos("100", "120")  # HF = 0.96, eligible; strike 100 vs spot 1
-        assert not supporter_decision(
-            pos, Price(Decimal(1)), THETA, params(lam="0.05"), sigma=0.0
-        )
+        assert not supporter_decision(pos, Price(Decimal(1)), params(lam="0.05"), sigma=0.0)
 
     def test_tie_engages(self):
         # sigma 0, in-the-money forward: lambda* = 1 - e^{-0.3} exactly
@@ -269,22 +267,17 @@ class TestSupporterDecision:
             term_seconds=31_536_000,
             k_re=Decimal("0.5"),
         )
-        assert supporter_decision(pos, Price(Decimal(1)), Decimal("0.8"), prm, sigma=0.0)
+        assert supporter_decision(pos, Price(Decimal(1)), prm, sigma=0.0)
 
     def test_band_around_break_even(self):
         # lambda* ~ 0.077 for these inputs (verified against the MC oracle)
         pos = make_pos("95", "1")
         price = Price(Decimal(100))
         term = 31_536_000 // 4
-        engage = supporter_decision(pos, price, THETA, params(lam="0.05", term=term), sigma=0.2)
-        decline = supporter_decision(pos, price, THETA, params(lam="0.2", term=term), sigma=0.2)
+        engage = supporter_decision(pos, price, params(lam="0.05", term=term), sigma=0.2)
+        decline = supporter_decision(pos, price, params(lam="0.2", term=term), sigma=0.2)
         assert engage
         assert not decline
-
-    def test_requires_eligibility(self):
-        pos = make_pos("100", "200")
-        with pytest.raises(NotEligibleError):
-            supporter_decision(pos, Price(Decimal(1)), THETA, params(), sigma=0.2)
 
 
 class TestParamsValidation:

@@ -4,6 +4,7 @@ The fixtures here are small enough that every expected number was worked
 out by hand from the mechanism definitions before the engine ran them.
 """
 
+import copy
 import json
 import math
 from collections import Counter
@@ -20,7 +21,13 @@ from miqado.cli import load_config
 from miqado.core import Amount, BorrowingPosition, FslParams, Price, health_factor
 from miqado.errors import CsvFormatError, InsufficientDataError, ScenarioError
 from miqado.market import CpAmmPool, GbmParams, PricePath, generate_gbm, load_price_csv
-from miqado.protocol import MiqadoParams
+from miqado.protocol import (
+    MiqadoParams,
+    SessionState,
+    initiate,
+    settle_at_maturity,
+    terminate,
+)
 from miqado.sim import (
     DistSummary,
     LiquidationEvent,
@@ -563,6 +570,28 @@ class TestSupporterGate:
             run_scenario(s)
         assert err.value.event_index == 0
 
+    def test_zero_collateral_value_names_event(self):
+        # 1e-400 collateral is not zero, but its float value is
+        s = self.gated_scenario(Regime.MIQADO_ONLY, "0.05")
+        s.events = [LiquidationEvent(position=pos("95", "1e-400"), path_offset=0)]
+        with pytest.raises(ScenarioError) as err:
+            run_scenario(s)
+        assert str(err.value) == (
+            "event 0: collateral value is zero, premium factor undefined; "
+            "check the trigger price, collateral"
+        )
+
+    def test_ineligible_event_is_never_priced(self):
+        # HF 0.96 is below one, but buffer 0.05 closes hybrid's window
+        # (CR * (theta + buffer) = 1.02). A priced event would fail here:
+        # volatility**2 overflows a float.
+        s = self.gated_scenario(Regime.HYBRID, "0.05", sigma=1e200)
+        s.events = [LiquidationEvent(position=pos("100", "120"), path_offset=0)]
+        s.path = PricePath.from_pairs([(i * HOUR, "1") for i in range(2200)])
+        s.miqado = replace(s.miqado, buffer=Decimal("0.05"))
+        report = run_scenario(s)
+        assert report.class_counts == {"ineligible": 1}
+
     def test_path_too_short_to_estimate_sigma(self):
         s = self.gated_scenario(Regime.MIQADO_ONLY, "0.05", sigma=None)
         s.path = PricePath.from_pairs([(0, "100")])
@@ -818,7 +847,9 @@ class TestSweepSharesTriggerFacts:
     @pytest.mark.parametrize("regime", list(Regime))
     def test_cells_equal_standalone_runs(self, regime):
         base = gated_rescue_scenario(regime)
-        lambdas, terms = ["0.01", "0.05", "0.2"], [HOUR, 3 * HOUR]
+        # Unsorted terms: an event's cells share its running peaks, which
+        # the 3-hour cell must rebuild and the 2-hour cell may reuse.
+        lambdas, terms = ["0.01", "0.05", "0.2"], [HOUR, 3 * HOUR, 2 * HOUR]
         sweep = run_sweep(base, lambdas, terms)
         assert len(sweep.cells) == len(lambdas) * len(terms)
         for lam, term, report in sweep.cells:
@@ -867,9 +898,33 @@ class TestSweepSharesTriggerFacts:
         assert str(swept.value) == "event 0: path ends at 14400, before requested timestamp 867600"
 
 
+def _milli(k: int) -> Decimal:
+    return Decimal(k).scaleb(-3)
+
+
+@st.composite
+def rescue_cases(draw):
+    """A non-monotone hourly path with 3-decimal prices, an eligible event
+    on it whose maturity lands on the path, a cell and a rescue threshold."""
+    n = draw(st.integers(3, 16))
+    prices = draw(st.lists(st.integers(500, 1500), min_size=n, max_size=n))
+    path = PricePath.from_pairs([(i * HOUR, _milli(k)) for i, k in enumerate(prices)])
+    offset = draw(st.integers(0, n - 3))
+    term_hours = n - 1 - offset - draw(st.integers(0, n - 2 - offset))  # mostly long
+    collateral = Decimal(draw(st.integers(0, 200)))
+    # Debt above the discounted collateral value: HF < 1 at the trigger.
+    debt = collateral * _milli(prices[offset]) * FSL.theta + draw(st.integers(1, 100))
+    event = LiquidationEvent(position=pos(debt, collateral), path_offset=offset)
+    lam = draw(st.sampled_from(["0.01", "0.1", "0.5"]))
+    threshold = _milli(draw(st.integers(0, 2000)))
+    return path, event, miq(lam=lam, term=term_hours * HOUR), threshold
+
+
 class TestRescuePriceBound:
-    """The rescue scan compares prices with h * D / (C * theta) instead of
-    computing a health factor per point; the boundary must stay `>=`."""
+    """The borrower rescues at the first point where the topped-up health
+    factor reaches the threshold. The engine bisects the path's running
+    peaks for it; the boundary must stay `>=`, and on any path the point
+    must be the one a step-by-step replay finds."""
 
     # Event A topped up by 10%: HF(p) = 143 * p * 0.8 / 100 = 1.144 * p,
     # so at p = 1.25 (index 3) the topped-up HF is exactly 1.43.
@@ -919,3 +974,36 @@ class TestRescuePriceBound:
         report = run_scenario(self.scenario(threshold, event=empty))
         assert report.class_counts == {klass: 1}
 
+    @given(case=rescue_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_step_by_step_reference(self, case):
+        path, event, params, h = case
+        s = Scenario(
+            events=[event],
+            path=path,
+            fsl=FSL,
+            miqado=replace(params, rescue_above_hf=h),
+            regime=Regime.MIQADO_ONLY,
+            supporter_gate=False,
+        )
+        row = run_scenario(s).results[0]
+
+        # Reference: test the topped-up health factor at every point
+        # between initiation and maturity, then terminate or settle.
+        position = copy.copy(event.position)
+        start = path[event.path_offset]
+        session = initiate(position, start.price, FSL.theta, params, start.timestamp)
+        maturity_idx = path.index_at_or_after(start.timestamp + params.term_seconds)
+        for pt in path.points[event.path_offset + 1 : maturity_idx]:
+            if health_factor(position, pt.price, FSL.theta) >= h:
+                outcome = terminate(session, position, pt.price, pt.timestamp, params)
+                klass = "terminated"
+                break
+        else:
+            end = path[maturity_idx]
+            outcome = settle_at_maturity(session, position, end.price, end.timestamp)
+            if outcome.state is SessionState.EXERCISED:
+                klass = "exercise_profit" if outcome.supporter_payoff > 0 else "exercise_loss"
+            else:
+                klass = "default"
+        assert (row.outcome_class, row.supporter_payoff) == (klass, outcome.supporter_payoff)
