@@ -240,7 +240,11 @@ def load_config(config_path: Path, seed_override: int | None = None) -> RunConfi
     raw = _section(loaded, "", _TOP_KEYS)
     if _number(raw, "schema_version", "", int) != 1:
         raise ConfigError("expected 1", field="schema_version")
-    seed = _number(raw, "seed", "", int, 0) if seed_override is None else seed_override
+    seed = _number(raw, "seed", "", int, 0)
+    if seed < 0:
+        raise ConfigError(f"expected a non-negative integer, got {seed}", field="seed")
+    if seed_override is not None:
+        seed = seed_override
     regime = _build("regime", Regime, _require(raw, "regime"))
 
     fsl_raw = _section(_require(raw, "fsl"), "fsl.", _FSL_KEYS)
@@ -265,8 +269,6 @@ def load_config(config_path: Path, seed_override: int | None = None) -> RunConfi
     miqado = _build(
         "miqado",
         MiqadoParams,
-        premium_factor=lambdas[0],
-        term_seconds=terms_seconds[0],
         k_re=_number(miq_raw, "k_re", "miqado."),
         buffer=_number(miq_raw, "buffer", "miqado.", Decimal, Decimal(0)),
         rescue_above_hf=_number(miq_raw, "rescue_above_hf", "miqado.", Decimal, None),
@@ -452,6 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seed", None) is not None and args.seed < 0:  # gbm and simulate
+        print("usage error: --seed must be >= 0", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except MiqadoError as exc:

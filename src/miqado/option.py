@@ -65,13 +65,13 @@ class BsInputs:
 
     def __post_init__(self):
         if self.spot <= 0:
-            raise ValueError("spot must be > 0")
+            raise ModelInputError("spot must be > 0", "spot")
         if self.strike <= 0:
-            raise ValueError("strike must be > 0")
+            raise ModelInputError("strike must be > 0", "strike")
         if self.volatility < 0:
-            raise ValueError("volatility must be >= 0")
+            raise ModelInputError("volatility must be >= 0", "volatility")
         if self.term <= 0:
-            raise ValueError("term must be > 0")
+            raise ModelInputError("term must be > 0", "term")
 
 
 #: The inputs of the call price: every BsInputs field.

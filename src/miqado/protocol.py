@@ -53,10 +53,9 @@ class SessionState(Enum):
 
 @dataclass(frozen=True)
 class MiqadoParams:
-    """Protocol parameters.
+    """Protocol constants. An option's own terms, its premium factor and
+    term, are arguments of `initiate` and `supporter_decision`.
 
-    premium_factor: top-up fraction lambda of the position's collateral.
-    term_seconds: option lifetime.
     k_re: borrower reimbursement factor in (0, 1).
     buffer: addition to theta in the engagement window
         CR * (theta + buffer) < 1; non-negative, small values are the
@@ -66,30 +65,19 @@ class MiqadoParams:
         where the topped-up health factor reaches it.
     """
 
-    premium_factor: Decimal
-    term_seconds: int
     k_re: Decimal
     buffer: Decimal = Decimal("0")
     rescue_above_hf: Decimal | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "premium_factor", to_decimal(self.premium_factor))
         object.__setattr__(self, "k_re", to_decimal(self.k_re))
         object.__setattr__(self, "buffer", to_decimal(self.buffer))
         if self.rescue_above_hf is not None:
             object.__setattr__(self, "rescue_above_hf", to_decimal(self.rescue_above_hf))
-        if self.premium_factor <= 0:
-            raise ValueError("premium_factor must be > 0")
-        if self.term_seconds <= 0:
-            raise ValueError("term_seconds must be > 0")
         if not 0 < self.k_re < 1:
             raise ValueError("k_re must lie in (0, 1)")
         if self.buffer < 0:
             raise ValueError("buffer must be >= 0")
-
-    @property
-    def term_years(self) -> float:
-        return self.term_seconds / SECONDS_PER_YEAR
 
 
 @dataclass
@@ -138,21 +126,26 @@ def initiate(
     p: Price,
     theta: Numeric,
     params: MiqadoParams,
+    premium_factor: Decimal,
+    term_seconds: int,
     now: int,
 ) -> MiqadoSession:
-    """Open a session: top up lambda * collateral, lock the position.
+    """Open a session with premium factor lambda and term, both > 0: top
+    up lambda * collateral, lock the position.
 
     The top-up multiplies the collateral, hence the health factor, by
     exactly (1 + lambda). The premium's debt-unit value is fixed at the
     initiation price.
     """
+    if premium_factor <= 0 or term_seconds <= 0:
+        raise ValueError("premium_factor and term_seconds must be > 0")
     if pos.active_session_id is not None:
         raise ActiveSessionError(
             f"position {pos.id} already has session {pos.active_session_id}"
         )
     if not can_initiate(pos, p, theta, params):
         raise NotEligibleError(f"position {pos.id} is outside the engagement window")
-    topup = pos.collateral.scaled(params.premium_factor)
+    topup = pos.collateral.scaled(premium_factor)
     with ledger_context():
         premium_value = topup.value * p.value
     session = MiqadoSession(
@@ -162,7 +155,7 @@ def initiate(
         premium_value=Amount.debt(premium_value),
         borrow_rate=pos.borrow_rate,
         started=now,
-        maturity=now + params.term_seconds,
+        maturity=now + term_seconds,
     )
     pos.collateral = pos.collateral + topup
     pos.active_session_id = session.id
@@ -266,25 +259,24 @@ def settle_at_maturity(
 def supporter_decision(
     pos: BorrowingPosition,
     p: Price,
-    params: MiqadoParams,
+    term_seconds: int,
     sigma: float,
     foreign_rate: float = 0.0,
-) -> bool:
-    """Engage iff the protocol's premium factor is at or below break-even.
+) -> float:
+    """The break-even premium factor lambda* of the term's option: the
+    supporter engages at lambda iff float(lambda) <= lambda*; ties engage.
 
-    The break-even factor prices the takeover right as a European call
-    with strike equal to the current outstanding debt, domestic rate equal
-    to the position's borrow rate, and the given volatility. Ties engage.
-    Eligibility is not tested here: `initiate` enforces the engagement
-    window.
+    It prices the takeover right as a European call with strike equal to
+    the current outstanding debt, domestic rate equal to the position's
+    borrow rate, and the given volatility. Eligibility is not tested
+    here: `initiate` enforces the engagement window.
     """
-    lam_star = optimal_premium_factor(
+    return optimal_premium_factor(
         p,
         pos.collateral,
         strike=float(pos.debt.value),
         domestic_rate=float(pos.borrow_rate),
         foreign_rate=foreign_rate,
         sigma=sigma,
-        term=params.term_years,
+        term=term_seconds / SECONDS_PER_YEAR,
     )
-    return float(params.premium_factor) <= lam_star

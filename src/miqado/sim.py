@@ -13,10 +13,10 @@ Replays liquidation events under three regimes:
 
 Events are processed in order and independently: no sale moves the pool or the path.
 `run_sweep` decides each fact once, at the stage it depends on: per sweep,
-per event (the trigger liquidation, eligibility) or per (premium factor,
-term) cell (the gate, the session); a single scenario is a one-cell
-sweep. Everything is a deterministic function of the scenario value, so
-identical inputs reproduce identical reports byte for byte.
+per event (trigger liquidation, eligibility), per (event, term) (the gate's
+break-even factor, the maturity) or per cell (the session); one scenario
+is a one-cell sweep. Everything is a deterministic function of the scenario
+value, so identical inputs reproduce identical reports byte for byte.
 
 External formats owned here: the events CSV
 (`position_id,debt,collateral,borrow_rate,path_offset`), the per-event
@@ -430,7 +430,8 @@ def _healthy_share(values: Sequence[Fraction | float]) -> Decimal:
 
 def _cell_report(
     results: list[OutcomeRow],
-    params: MiqadoParams,
+    lam: Decimal,
+    term: int,
     hf_pre: list[Fraction],
     common: dict,
     table: list[PayoffRow],
@@ -440,15 +441,14 @@ def _cell_report(
     the trigger and after a maximal liquidation there, and the release if
     every event were liquidated at its trigger. `table` is the sweep's
     payoff table; the report holds the cell's own row of it."""
-    cell = (params.premium_factor, params.term_seconds)
     release = _sum(r.release_usd for r in results)
     baseline = common["fsl_baseline_release_usd"]
     reduction: Decimal | None = None
     if baseline > 0:
         with ledger_context():
             reduction = 1 - release / baseline
-    lam = Fraction(params.premium_factor)
-    hf_post_miq = [hf * (1 + lam) for hf in hf_pre]
+    factor = 1 + Fraction(lam)
+    hf_post_miq = [hf * factor for hf in hf_pre]
     return MetricsReport(
         **common,
         n_events=len(results),
@@ -458,7 +458,7 @@ def _cell_report(
         release_reduction=reduction,
         hf_post_miqado=DistSummary.from_values(hf_post_miq),
         healthy_fraction_miqado=_healthy_share(hf_post_miq),
-        payoff_rows=[row for row in table if (row.premium_factor, row.term_seconds) == cell],
+        payoff_rows=[row for row in table if (row.premium_factor, row.term_seconds) == (lam, term)],
         price_declines=[r.price_decline for r in results if r.price_decline is not None],
         results=results,
     )
@@ -467,18 +467,19 @@ def _cell_report(
 def _row(
     idx: int,
     ev: LiquidationEvent,
-    params: MiqadoParams,
+    lam: Decimal,
+    term: int,
     klass: str,
     released: Released = _NOTHING_RELEASED,
     settlement: SettlementOutcome | None = None,
 ) -> OutcomeRow:
-    """The event's row in the cell of `params`; a session's premium is its restraint."""
+    """The event's row in the (lam, term) cell; a session's premium is its restraint."""
     release, decline = released
     return OutcomeRow(
         event_index=idx,
         position_id=ev.position.id,
-        premium_factor=params.premium_factor,
-        term_seconds=params.term_seconds,
+        premium_factor=lam,
+        term_seconds=term,
         outcome_class=klass,
         supporter_payoff=None if settlement is None else settlement.supporter_payoff,
         premium_value=None if settlement is None else settlement.premium_value,
@@ -488,56 +489,59 @@ def _row(
     )
 
 
-def _run_event(
+def _run_term(
     idx: int,
     ev: LiquidationEvent,
     s: Scenario,
-    params: MiqadoParams,
+    term: int,
+    lambdas: Sequence[Decimal],
     sigma: float,
     at_trigger: Released,
-    peaks: list[Decimal],
-) -> OutcomeRow:
-    """Replay one eligible event in one cell: the supporter gate, then the
-    session. A declined event releases what the regime does at the trigger.
-    The borrower rescues the session at the first point after initiation
-    and before maturity where the topped-up health factor reaches
-    `rescue_above_hf`. The health factor rises with the price, so that is
-    where the path's running peak first reaches it: a bisection over the
-    peaks, with `health_factor` as the key. The event's cells share one
-    `peaks` list; a cell rebuilds it only if its maturity lies past the end.
-    """
+) -> list[OutcomeRow]:
+    """Replay one eligible event in one term's cells, one row per premium
+    factor. The gate's break-even factor, the maturity and the path's
+    running peaks are found once, the last two only if some cell engages;
+    a declined cell releases what the regime does at the trigger. The
+    borrower rescues at the first point after initiation and before
+    maturity where the topped-up health factor, which rises with the
+    price, reaches `rescue_above_hf`: a bisection over the peaks."""
     point = s.path[ev.path_offset]
     p0, t0 = point.price, point.timestamp
-    pos = copy.copy(ev.position)
     theta = s.fsl.theta
+    h = s.miqado.rescue_above_hf
+    start = ev.path_offset + 1
+    lam_star = math.inf
+    if s.supporter_gate:
+        lam_star = supporter_decision(ev.position, p0, term, sigma, s.foreign_rate)
+    engages = [float(lam) <= lam_star for lam in lambdas]  # ties engage
+    if not any(engages):
+        return [_row(idx, ev, lam, term, CLASS_DECLINED, at_trigger) for lam in lambdas]
+    maturity_idx = s.path.index_at_or_after(t0 + term)
+    maturity = s.path[maturity_idx]
+    peaks = [] if h is None else list(accumulate(s.path.prices[start:maturity_idx], max))
 
-    if s.supporter_gate and not supporter_decision(pos, p0, params, sigma, s.foreign_rate):
-        return _row(idx, ev, params, CLASS_DECLINED, at_trigger)
+    def session_row(lam: Decimal) -> OutcomeRow:
+        pos = copy.copy(ev.position)
+        session = initiate(pos, p0, theta, s.miqado, lam, term, t0)
+        if h is not None:
+            i = start + bisect_left(peaks, h, key=lambda v: health_factor(pos, Price(v), theta))
+            if i < maturity_idx:
+                pt = s.path[i]
+                outcome = terminate(session, pos, pt.price, pt.timestamp, s.miqado)
+                return _row(idx, ev, lam, term, CLASS_TERMINATED, settlement=outcome)
+        outcome = settle_at_maturity(session, pos, maturity.price, maturity.timestamp)
+        if outcome.state is SessionState.EXERCISED:
+            klass = CLASS_EXERCISE_PROFIT if outcome.supporter_payoff > 0 else CLASS_EXERCISE_LOSS
+            return _row(idx, ev, lam, term, klass, settlement=outcome)
+        released = _NOTHING_RELEASED
+        if s.regime is Regime.HYBRID:
+            released = _liquidate(pos, maturity.price, s)
+        return _row(idx, ev, lam, term, CLASS_DEFAULT, released, outcome)
 
-    session = initiate(pos, p0, theta, params, t0)
-    maturity_idx = s.path.index_at_or_after(t0 + params.term_seconds)
-
-    h = params.rescue_above_hf
-    if h is not None:
-        start = ev.path_offset + 1
-        n = maturity_idx - start
-        if len(peaks) < n:
-            peaks[:] = accumulate(s.path.prices[start:maturity_idx], max)
-        i = start + bisect_left(peaks, h, 0, n, key=lambda v: health_factor(pos, Price(v), theta))
-        if i < maturity_idx:
-            pt = s.path[i]
-            outcome = terminate(session, pos, pt.price, pt.timestamp, params)
-            return _row(idx, ev, params, CLASS_TERMINATED, settlement=outcome)
-
-    maturity_point = s.path[maturity_idx]
-    outcome = settle_at_maturity(session, pos, maturity_point.price, maturity_point.timestamp)
-    if outcome.state is SessionState.EXERCISED:
-        klass = CLASS_EXERCISE_PROFIT if outcome.supporter_payoff > 0 else CLASS_EXERCISE_LOSS
-        return _row(idx, ev, params, klass, settlement=outcome)
-    released = _NOTHING_RELEASED
-    if s.regime is Regime.HYBRID:
-        released = _liquidate(pos, maturity_point.price, s)
-    return _row(idx, ev, params, CLASS_DEFAULT, released, outcome)
+    return [
+        session_row(lam) if engage else _row(idx, ev, lam, term, CLASS_DECLINED, at_trigger)
+        for lam, engage in zip(lambdas, engages)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -574,30 +578,28 @@ def run_sweep(
     base: Scenario, premium_factors: Sequence[Numeric], terms_seconds: Sequence[int]
 ) -> SweepResult:
     """Replay the scenario in every (premium factor, term) cell, ordered
-    term-major like a payoff table is usually read.
+    term-major like a payoff table is usually read. Grid values must be
+    positive and, on each axis, distinct.
 
-    Per sweep: each cell's parameters, the regime's buffer rule and the
-    gate's volatility. Per event, in order: the trigger check, the trigger
-    liquidation (the FSL baseline and the outcome of any cell liquidated
-    there) and, under fsl_only or outside the engagement window, the class
-    of every cell. Per cell: the supporter gate and the session. Last, the
-    rows are folded into the sweep's payoff table and each cell's report,
-    which holds the cell's row of that table. The sweep names its
-    lowest-index failing event, in the first cell (term-major) where it
-    fails."""
-    if not premium_factors or not terms_seconds:
-        raise ValueError("sweep grids must be non-empty")
+    Per sweep: the regime's buffer rule and the gate's volatility. Per
+    event, in order: the trigger check, the trigger liquidation (the FSL
+    baseline and the outcome of any cell liquidated there) and, under
+    fsl_only or outside the engagement window, the class of every cell.
+    Per (event, term): the gate's break-even factor and the maturity. Per
+    cell: the session. Last, the rows fold into the sweep's payoff table
+    and each cell's report, which holds the cell's row of that table. The
+    sweep names its lowest-index failing event, in the first cell
+    (term-major) where it fails."""
+    lambdas = [to_decimal(lam) for lam in premium_factors]
+    if not (lambdas and terms_seconds and min(lambdas) > 0 and min(terms_seconds) > 0):
+        raise ValueError("sweep grids must be non-empty, with values > 0")
+    if len(set(lambdas)) < len(lambdas) or len(set(terms_seconds)) < len(terms_seconds):
+        raise ValueError("sweep grid values must be distinct")
     s = base
     # The regime alone sets the engagement window: without liquidation it
     # is the liquidation threshold HF < 1, i.e. buffer 0.
-    miqado = s.miqado
     if s.regime is Regime.MIQADO_ONLY:
-        miqado = replace(miqado, buffer=Decimal(0))
-    grid = [
-        replace(miqado, premium_factor=to_decimal(lam), term_seconds=term)
-        for term in terms_seconds
-        for lam in premium_factors
-    ]
+        s = replace(s, miqado=replace(s.miqado, buffer=Decimal(0)))
     sigma = 0.0
     if s.supporter_gate and s.regime is not Regime.FSL_ONLY:
         sigma = s.sigma_override if s.sigma_override is not None else path_volatility(s.path)
@@ -605,22 +607,22 @@ def run_sweep(
     hf_pre: list[Fraction] = []
     hf_post_fsl: list[Fraction | float] = []
     released: list[Decimal] = []
-    rows: list[list[OutcomeRow]] = [[] for _ in grid]
+    # Event-major, then term, then premium factor: cell c's rows are rows[c::len(grid)].
+    rows: list[OutcomeRow] = []
     for idx, ev in enumerate(s.events):
         with _event_errors(idx):
             hf, hf_fsl, liquidation = _trigger(idx, ev, s)
             at_trigger = _NOTHING_RELEASED if s.regime is Regime.MIQADO_ONLY else liquidation
             klass = None
-            peaks: list[Decimal] = []
             if s.regime is Regime.FSL_ONLY:
                 klass = CLASS_FSL
-            elif not can_initiate(ev.position, s.path[ev.path_offset].price, s.fsl.theta, miqado):
+            elif not can_initiate(ev.position, s.path[ev.path_offset].price, s.fsl.theta, s.miqado):
                 klass = CLASS_INELIGIBLE
-            for params, cell_rows in zip(grid, rows):
+            for term in terms_seconds:
                 if klass is None:
-                    cell_rows.append(_run_event(idx, ev, s, params, sigma, at_trigger, peaks))
+                    rows += _run_term(idx, ev, s, term, lambdas, sigma, at_trigger)
                 else:
-                    cell_rows.append(_row(idx, ev, params, klass, at_trigger))
+                    rows += [_row(idx, ev, lam, term, klass, at_trigger) for lam in lambdas]
         hf_pre.append(hf)
         hf_post_fsl.append(hf_fsl)
         released.append(liquidation[0])
@@ -632,20 +634,20 @@ def run_sweep(
         hf_post_fsl=DistSummary.from_values(hf_post_fsl),
         healthy_fraction_fsl=_healthy_share(hf_post_fsl),
     )
-    table = payoff_rows(r for cell_rows in rows for r in cell_rows)
+    table = payoff_rows(rows)
+    grid = [(lam, term) for term in terms_seconds for lam in lambdas]
     cells = [
-        (p.premium_factor, p.term_seconds, _cell_report(r, p, hf_pre, common, table))
-        for p, r in zip(grid, rows)
+        (lam, term, _cell_report(rows[c :: len(grid)], lam, term, hf_pre, common, table))
+        for c, (lam, term) in enumerate(grid)
     ]
     return SweepResult(regime=s.regime, cells=cells, payoff_rows=table)
 
 
-def run_scenario(scenario: Scenario) -> MetricsReport:
-    """Replay every event under the scenario regime: the one-cell sweep of
-    the scenario's own premium factor and term. Pure with respect to its
-    argument; an event that fails raises ScenarioError with its index."""
-    s = scenario
-    return run_sweep(s, [s.miqado.premium_factor], [s.miqado.term_seconds]).cells[0][2]
+def run_scenario(scenario: Scenario, premium_factor: Numeric, term_seconds: int) -> MetricsReport:
+    """Replay every event under the scenario regime in one (premium factor,
+    term) cell: the one-cell sweep. Pure with respect to its argument; an
+    event that fails raises ScenarioError with its index."""
+    return run_sweep(scenario, [premium_factor], [term_seconds]).cells[0][2]
 
 
 def report_to_json(payload: Mapping) -> str:

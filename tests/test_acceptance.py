@@ -161,11 +161,9 @@ def test_4_protocol_invariants_randomized():
         price = Price(p0)
         if health_factor(pos, price, theta) >= 1:
             continue
-        params = MiqadoParams(
-            premium_factor=lam, term_seconds=3600, k_re=k_re
-        )
+        params = MiqadoParams(k_re=k_re)
         hf_before = health_factor(pos, price, theta)
-        session = initiate(pos, price, theta, params, now=0)
+        session = initiate(pos, price, theta, params, lam, 3600, now=0)
         hf_after = health_factor(pos, price, theta)
         assert hf_after == hf_before * (1 + Fraction(lam)), "health boost not exact"
 
@@ -254,10 +252,12 @@ def test_5_payoff_table_structure():
             events=[ev("170", "200", "plus"), ev("100", "100", "minus"), ev("110", "100", "hash")],
             path=path,
             fsl=FslParams(theta=Decimal("0.8"), close_factor=Decimal("0.5"), spread=Decimal("0.05")),
-            miqado=MiqadoParams(premium_factor=Decimal("0.1"), term_seconds=3600, k_re=Decimal("0.5")),
+            miqado=MiqadoParams(k_re=Decimal("0.5")),
             regime=Regime.MIQADO_ONLY,
             supporter_gate=False,
-        )
+        ),
+        Decimal("0.1"),
+        3600,
     )
     row = hand.payoff_rows[0]
     third = Fraction(1, 3)
@@ -284,13 +284,11 @@ def test_6_restraint_linearity():
             events=config.events,
             path=config.path,
             fsl=config.fsl,
-            miqado=MiqadoParams(
-                premium_factor=Decimal(lam), term_seconds=3600, k_re=Decimal("0.5")
-            ),
+            miqado=MiqadoParams(k_re=Decimal("0.5")),
             regime=Regime.MIQADO_ONLY,
             supporter_gate=False,
         )
-        return run_scenario(scenario).collateral_restraint_usd
+        return run_scenario(scenario, Decimal(lam), 3600).collateral_restraint_usd
 
     pairs = [("0.01", "0.02"), ("0.05", "0.10"), ("0.10", "0.20")]
     ok = True
@@ -326,11 +324,11 @@ def test_7_release_reduction():
             events=[ev("evA", 1), ev("evB", 3)],
             path=path,
             fsl=FslParams(theta=Decimal("0.8"), close_factor=Decimal("0.5"), spread=Decimal("0.05")),
-            miqado=MiqadoParams(premium_factor=Decimal("0.1"), term_seconds=3600, k_re=Decimal("0.5")),
+            miqado=MiqadoParams(k_re=Decimal("0.5")),
             regime=regime,
             supporter_gate=False,
         )
-    hybrid = run_scenario(scenario(Regime.HYBRID))
+    hybrid = run_scenario(scenario(Regime.HYBRID), Decimal("0.1"), 3600)
     # hand oracle: fsl-only releases 105; hybrid releases 42.9 (one event
     # exercised, the other defaults into a clamped liquidation)
     oracle = Fraction(621, 1050)

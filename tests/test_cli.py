@@ -141,6 +141,15 @@ class TestPrice:
         "changed, message",
         [
             pytest.param({"--sigma": "-0.2"}, "usage error", id="sigma=-0.2"),
+            # Values outside the model's range name their flag.
+            pytest.param(
+                {"--sigma": "-1"}, "volatility must be >= 0; check --sigma", id="sigma=-1"
+            ),
+            pytest.param({"--spot": "-1"}, "spot must be > 0; check --spot", id="spot=-1"),
+            pytest.param(
+                {"--strike": "-5"}, "strike must be > 0; check --strike", id="strike=-5"
+            ),
+            pytest.param({"--term": "0"}, "term must be > 0; check --term", id="term=0"),
             pytest.param({"--sigma": "inf"}, "--sigma", id="sigma=inf"),
             pytest.param({"--spot": "nan"}, "--spot", id="spot=nan"),
             pytest.param({"--strike": "-inf"}, "--strike", id="strike=-inf"),
@@ -261,6 +270,15 @@ class TestGbm:
         assert "usage error" in err
         assert out == ""
 
+    def test_negative_seed_names_flag(self, capsys):
+        code, out, err = run_cli(
+            capsys, "gbm", "--p0", "100", "--sigma", "0.1", "--dt", "0.001", "--steps", "3",
+            "--seed", "-1",
+        )
+        assert code == 2
+        assert "--seed" in err
+        assert out == ""
+
     def test_invalid_dt_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "gbm", "--p0", "100", "--sigma", "0.5",
@@ -330,6 +348,40 @@ class TestSimulate:
         run_cli(capsys, "simulate", "--config", str(FIXTURES / "config_sweep.json"),
                 "--out", str(out2), "--seed", "999")
         assert (out1 / "report.json").read_bytes() != (out2 / "report.json").read_bytes()
+
+    def test_negative_seed_flag_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "simulate", "--config", str(FIXTURES / "config_sweep.json"),
+            "--out", str(tmp_path), "--seed", "-5",
+        )
+        assert code == 2
+        assert "--seed" in err
+        assert not (tmp_path / "report.json").exists()
+
+    # the file's seed is checked even when --seed replaces it
+    @pytest.mark.parametrize("flags", [(), ("--seed", "3")], ids=["no-flag", "seed-flag"])
+    def test_negative_config_seed_names_field(self, capsys, tmp_path, flags):
+        config = json.loads((FIXTURES / "config_sweep.json").read_text())
+        config["seed"] = -5
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        code, _, err = run_cli(
+            capsys, "simulate", "--config", str(tmp_path / "config.json"),
+            "--out", str(tmp_path), *flags,
+        )
+        assert code == 1
+        assert err.startswith("error: seed: ")
+        assert not (tmp_path / "report.json").exists()
+
+    def test_negative_sigma_override_names_field(self, capsys, tmp_path):
+        config = json.loads((FIXTURES / "config_sweep.json").read_text())
+        config.update(supporter_gate=True, sigma_override=-0.1)
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        code, _, err = run_cli(
+            capsys, "simulate", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path)
+        )
+        assert code == 1
+        assert err == "error: event 0: volatility must be >= 0; check sigma_override\n"
+        assert not (tmp_path / "report.json").exists()
 
     def test_missing_config_names_path(self, capsys, tmp_path):
         missing = tmp_path / "nope.json"

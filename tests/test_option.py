@@ -61,7 +61,9 @@ def mc_call_estimate(spot, strike, r, rf, sigma, term, n_pairs=500_000, seed=202
 HOUR = 3600
 
 
-def takeover_session(debt="100", collateral="80", lam="0.25", p0="0.25", rate="0.05", k_re="0.5"):
+def takeover_session(
+    debt="100", collateral="80", lam="0.25", p0="0.25", rate="0.05", k_re="0.5", term=HOUR
+):
     """A support session on a position with health factor below one. Its
     option has strike D = debt, premium lam * C * p0 and underlying the
     topped-up collateral C * (1 + lam). The defaults give premium 5 on 100
@@ -72,10 +74,8 @@ def takeover_session(debt="100", collateral="80", lam="0.25", p0="0.25", rate="0
         collateral=Amount.collateral(Decimal(collateral)),
         borrow_rate=Decimal(rate),
     )
-    params = MiqadoParams(
-        premium_factor=Decimal(lam), term_seconds=HOUR, k_re=Decimal(k_re)
-    )
-    session = initiate(pos, Price(Decimal(p0)), Decimal("0.8"), params, now=0)
+    params = MiqadoParams(k_re=Decimal(k_re))
+    session = initiate(pos, Price(Decimal(p0)), Decimal("0.8"), params, Decimal(lam), term, now=0)
     return pos, session, params
 
 
@@ -339,7 +339,7 @@ class TestReversibleCallOption:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MiqadoParams(premium_factor=Decimal("0.25"), term_seconds=0, k_re=Decimal("0.5"))
+            takeover_session(term=0)
         with pytest.raises(ValueError):
             takeover_session(lam="0")
         with pytest.raises(UnitMismatchError):

@@ -39,10 +39,8 @@ def make_pos(debt="100", collateral="100", rate="0.05", pid="b1"):
     )
 
 
-def params(lam="0.1", term=HOUR, k_re="0.5", **kw):
-    return MiqadoParams(
-        premium_factor=Decimal(lam), term_seconds=term, k_re=Decimal(k_re), **kw
-    )
+def params(k_re="0.5", **kw):
+    return MiqadoParams(k_re=Decimal(k_re), **kw)
 
 
 class TestCanInitiate:
@@ -77,7 +75,7 @@ class TestInitiate:
     def test_topup_and_health_boost(self):
         pos = make_pos("100", "100")
         hf_before = health_factor(pos, Price(Decimal(1)), THETA)
-        session = initiate(pos, Price(Decimal(1)), THETA, params(lam="0.05"), now=0)
+        session = initiate(pos, Price(Decimal(1)), THETA, params(), Decimal("0.05"), HOUR, now=0)
         assert pos.collateral.value == Decimal("105")
         hf_after = health_factor(pos, Price(Decimal(1)), THETA)
         assert hf_after == hf_before * Fraction(Decimal("1.05"))
@@ -86,25 +84,25 @@ class TestInitiate:
 
     def test_lambda_one_doubles_collateral(self):
         pos = make_pos("100", "100")
-        initiate(pos, Price(Decimal(1)), THETA, params(lam="1"), now=0)
+        initiate(pos, Price(Decimal(1)), THETA, params(), Decimal("1"), HOUR, now=0)
         assert pos.collateral.value == Decimal("200")
 
     def test_premium_value(self):
         pos = make_pos("900", "100")  # HF = 100*10*0.8/900 < 1
-        session = initiate(pos, Price(Decimal(10)), THETA, params(lam="0.2"), now=0)
+        session = initiate(pos, Price(Decimal(10)), THETA, params(), Decimal("0.2"), HOUR, now=0)
         assert session.premium_value.value == Decimal("200")
         assert session.topup.value == Decimal("20")
 
     def test_one_session_per_position(self):
         pos = make_pos("100", "100")
-        initiate(pos, Price(Decimal(1)), THETA, params(), now=0)
+        initiate(pos, Price(Decimal(1)), THETA, params(), Decimal("0.1"), HOUR, now=0)
         with pytest.raises(ActiveSessionError):
-            initiate(pos, Price(Decimal(1)), THETA, params(), now=10)
+            initiate(pos, Price(Decimal(1)), THETA, params(), Decimal("0.1"), HOUR, now=10)
 
     def test_not_eligible(self):
         pos = make_pos("100", "200")  # HF = 1.6
         with pytest.raises(NotEligibleError):
-            initiate(pos, Price(Decimal(1)), THETA, params(), now=0)
+            initiate(pos, Price(Decimal(1)), THETA, params(), Decimal("0.1"), HOUR, now=0)
 
     @given(
         lam=st.decimals(min_value=Decimal("0.000001"), max_value=Decimal("2"),
@@ -129,7 +127,7 @@ class TestInitiate:
         hf_before = health_factor(pos, price, THETA)
         if hf_before >= 1:
             return
-        initiate(pos, price, THETA, params(lam=str(lam)), now=0)
+        initiate(pos, price, THETA, params(), lam, HOUR, now=0)
         hf_after = health_factor(pos, price, THETA)
         assert hf_after == hf_before * (1 + Fraction(lam))
 
@@ -137,8 +135,8 @@ class TestInitiate:
 class TestTerminate:
     def setup_session(self, lam="0.2", k_re="0.5", rate="0.05"):
         pos = make_pos("100", "100", rate=rate)
-        prm = params(lam=lam, k_re=k_re, term=2 * HOUR)
-        session = initiate(pos, Price(Decimal(1)), THETA, prm, now=0)
+        prm = params(k_re=k_re)
+        session = initiate(pos, Price(Decimal(1)), THETA, prm, Decimal(lam), 2 * HOUR, now=0)
         return pos, session, prm
 
     def test_hand_example(self):
@@ -187,8 +185,8 @@ class TestTerminate:
 class TestSettleAtMaturity:
     def setup_session(self, debt="100", collateral="100", lam="0.1", p0="1"):
         pos = make_pos(debt, collateral)
-        prm = params(lam=lam)
-        session = initiate(pos, Price(Decimal(p0)), THETA, prm, now=0)
+        prm = params()
+        session = initiate(pos, Price(Decimal(p0)), THETA, prm, Decimal(lam), HOUR, now=0)
         return pos, session
 
     def test_exercise_hand_example(self):
@@ -245,7 +243,7 @@ class TestSettleAtMaturity:
         outcomes = []
         for lam in (lam1, lam2):
             pos = make_pos("100", "100")
-            session = initiate(pos, Price(Decimal(1)), THETA, params(lam=str(lam)), now=0)
+            session = initiate(pos, Price(Decimal(1)), THETA, params(), lam, HOUR, now=0)
             out = settle_at_maturity(session, pos, Price(p_t), now=HOUR)
             outcomes.append(out.state)
         if outcomes[0] is SessionState.EXERCISED:
@@ -256,26 +254,23 @@ class TestSupporterDecision:
     def test_worthless_option_declined(self):
         # sigma 0, strike far above the deterministic forward: value 0
         pos = make_pos("100", "120")  # HF = 0.96, eligible; strike 100 vs spot 1
-        assert not supporter_decision(pos, Price(Decimal(1)), params(lam="0.05"), sigma=0.0)
+        lam_star = supporter_decision(pos, Price(Decimal(1)), HOUR, sigma=0.0)
+        assert not 0.05 <= lam_star
 
     def test_tie_engages(self):
         # sigma 0, in-the-money forward: lambda* = 1 - e^{-0.3} exactly
         lam_star = 1 - __import__("math").exp(-0.3)
         pos = make_pos("1", "1", rate="0.3")
-        prm = MiqadoParams(
-            premium_factor=Decimal(repr(lam_star)),
-            term_seconds=31_536_000,
-            k_re=Decimal("0.5"),
-        )
-        assert supporter_decision(pos, Price(Decimal(1)), prm, sigma=0.0)
+        lam = Decimal(repr(lam_star))
+        assert float(lam) <= supporter_decision(pos, Price(Decimal(1)), 31_536_000, sigma=0.0)
 
     def test_band_around_break_even(self):
         # lambda* ~ 0.077 for these inputs (verified against the MC oracle)
         pos = make_pos("95", "1")
         price = Price(Decimal(100))
         term = 31_536_000 // 4
-        engage = supporter_decision(pos, price, params(lam="0.05", term=term), sigma=0.2)
-        decline = supporter_decision(pos, price, params(lam="0.2", term=term), sigma=0.2)
+        lam_star = supporter_decision(pos, price, term, sigma=0.2)
+        engage, decline = 0.05 <= lam_star, 0.2 <= lam_star
         assert engage
         assert not decline
 
@@ -283,17 +278,12 @@ class TestSupporterDecision:
 class TestParamsValidation:
     def test_bounds(self):
         with pytest.raises(ValueError):
-            params(lam="0")
+            initiate(make_pos(), Price(Decimal(1)), THETA, params(), Decimal("0"), HOUR, now=0)
         with pytest.raises(ValueError):
             params(k_re="1")
         with pytest.raises(ValueError):
             params(k_re="0")
         with pytest.raises(ValueError):
-            params(term=0)
+            initiate(make_pos(), Price(Decimal(1)), THETA, params(), Decimal("0.1"), 0, now=0)
         with pytest.raises(ValueError):
-            MiqadoParams(
-                premium_factor=Decimal("0.1"),
-                term_seconds=HOUR,
-                k_re=Decimal("0.5"),
-                buffer=Decimal("-0.1"),
-            )
+            MiqadoParams(k_re=Decimal("0.5"), buffer=Decimal("-0.1"))

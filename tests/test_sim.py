@@ -58,10 +58,8 @@ def pos(debt, collateral, pid="b1", rate="0.05"):
     )
 
 
-def miq(lam="0.1", term=2 * HOUR, **kw):
-    return MiqadoParams(
-        premium_factor=Decimal(lam), term_seconds=term, k_re=Decimal("0.5"), **kw
-    )
+def miq(**kw):
+    return MiqadoParams(k_re=Decimal("0.5"), **kw)
 
 
 def path_a():
@@ -90,7 +88,7 @@ def scenario_a(regime, pool=None, **kw):
 
 class TestSingleEventOracle:
     def test_fsl_only(self):
-        report = run_scenario(scenario_a(Regime.FSL_ONLY))
+        report = run_scenario(scenario_a(Regime.FSL_ONLY), "0.1", 2 * HOUR)
         # repay 50, seize 50*1.05/0.9 worth 52.5 at p=0.9
         assert report.collateral_release_usd.quantize(Decimal("1e-15")) == Decimal("52.5")
         assert report.collateral_restraint_usd == 0
@@ -100,7 +98,7 @@ class TestSingleEventOracle:
         assert report.payoff_rows == []
 
     def test_miqado_only_exercise(self):
-        report = run_scenario(scenario_a(Regime.MIQADO_ONLY))
+        report = run_scenario(scenario_a(Regime.MIQADO_ONLY), "0.1", 2 * HOUR)
         assert report.collateral_release_usd == 0
         # top-up 13 collateral at p 0.9
         assert report.collateral_restraint_usd == Decimal("11.7")
@@ -120,7 +118,7 @@ class TestSingleEventOracle:
         assert result.premium_value == Decimal("11.7")
 
     def test_hybrid_same_as_miqado_when_exercised(self):
-        report = run_scenario(scenario_a(Regime.HYBRID))
+        report = run_scenario(scenario_a(Regime.HYBRID), "0.1", 2 * HOUR)
         assert report.collateral_release_usd == 0
         assert report.class_counts == {"exercise_profit": 1}
 
@@ -129,20 +127,20 @@ class TestSingleEventOracle:
         pool = CpAmmPool(
             reserve_quote=Decimal("900"), reserve_base=Decimal("1000"), fee=Decimal("0")
         )
-        report = run_scenario(scenario_a(Regime.FSL_ONLY, pool=pool))
+        report = run_scenario(scenario_a(Regime.FSL_ONLY, pool=pool), "0.1", 2 * HOUR)
         assert len(report.price_declines) == 1
         # decline = 1 - (1000 / 1058.3333...)^2, hand value ~ 0.1072
         assert abs(report.price_declines[0] - Decimal("0.107198")) < Decimal("0.000001")
 
     def test_determinism_byte_identical(self):
-        a = report_to_json(run_scenario(scenario_a(Regime.HYBRID)).to_json_dict())
-        b = report_to_json(run_scenario(scenario_a(Regime.HYBRID)).to_json_dict())
+        a = report_to_json(run_scenario(scenario_a(Regime.HYBRID), "0.1", 2 * HOUR).to_json_dict())
+        b = report_to_json(run_scenario(scenario_a(Regime.HYBRID), "0.1", 2 * HOUR).to_json_dict())
         assert a == b
 
     def test_scenario_not_mutated(self):
         s = scenario_a(Regime.HYBRID)
         before = serialize_events_csv(s.events)
-        run_scenario(s)
+        run_scenario(s, "0.1", 2 * HOUR)
         assert serialize_events_csv(s.events) == before
         assert s.events[0].position.collateral.value == Decimal("130")
 
@@ -160,12 +158,12 @@ def events_b():
     ]
 
 
-def scenario_b(regime, lam="0.1"):
+def scenario_b(regime):
     return Scenario(
         events=events_b(),
         path=path_b(),
         fsl=FSL,
-        miqado=miq(lam=lam, term=HOUR),
+        miqado=miq(),
         regime=regime,
         supporter_gate=False,
     )
@@ -181,11 +179,11 @@ class TestTwoEventReductionOracle:
     """
 
     def test_fsl_only_release(self):
-        report = run_scenario(scenario_b(Regime.FSL_ONLY))
+        report = run_scenario(scenario_b(Regime.FSL_ONLY), "0.1", HOUR)
         assert report.collateral_release_usd.quantize(Decimal("1e-15")) == Decimal("105")
 
     def test_hybrid_oracle(self):
-        report = run_scenario(scenario_b(Regime.HYBRID))
+        report = run_scenario(scenario_b(Regime.HYBRID), "0.1", HOUR)
         assert report.collateral_release_usd == Decimal("42.9")
         assert report.class_counts == {"exercise_profit": 1, "default": 1}
         assert report.collateral_restraint_usd == Decimal("19.5")  # 11.7 + 7.8
@@ -196,8 +194,8 @@ class TestTwoEventReductionOracle:
         assert defaulted.supporter_payoff == Decimal("-7.8")
 
     def test_reduction_matches_hand_value(self):
-        fsl_report = run_scenario(scenario_b(Regime.FSL_ONLY))
-        hybrid_report = run_scenario(scenario_b(Regime.HYBRID))
+        fsl_report = run_scenario(scenario_b(Regime.FSL_ONLY), "0.1", HOUR)
+        hybrid_report = run_scenario(scenario_b(Regime.HYBRID), "0.1", HOUR)
         oracle = Fraction(621, 1050)  # 1 - 42.9/105, by hand
         # the baseline is the fsl_only run's release
         assert hybrid_report.fsl_baseline_release_usd == fsl_report.collateral_release_usd
@@ -206,7 +204,7 @@ class TestTwoEventReductionOracle:
         assert abs(Fraction(hybrid_report.release_reduction) - oracle) <= Fraction(1, 10**9)
 
     def test_payoff_row_hand_values(self):
-        report = run_scenario(scenario_b(Regime.HYBRID))
+        report = run_scenario(scenario_b(Regime.HYBRID), "0.1", HOUR)
         row = report.payoff_rows[0]
         assert row.n == 2
         assert row.p_exercise_profit == Decimal("0.5")
@@ -216,8 +214,8 @@ class TestTwoEventReductionOracle:
         assert row.std_payoff == Decimal("33.85")
 
     def test_restraint_linearity(self):
-        r1 = run_scenario(scenario_b(Regime.HYBRID, lam="0.01"))
-        r2 = run_scenario(scenario_b(Regime.HYBRID, lam="0.02"))
+        r1 = run_scenario(scenario_b(Regime.HYBRID), "0.01", HOUR)
+        r2 = run_scenario(scenario_b(Regime.HYBRID), "0.02", HOUR)
         assert r2.collateral_restraint_usd == 2 * r1.collateral_restraint_usd
 
 
@@ -246,13 +244,13 @@ class TestThreeClassOracle:
             events=events_c(),
             path=path_c(),
             fsl=FSL,
-            miqado=miq(lam="0.1", term=HOUR),
+            miqado=miq(),
             regime=Regime.MIQADO_ONLY,
             supporter_gate=False,
         )
 
     def test_classes_and_row(self):
-        report = run_scenario(self.scenario())
+        report = run_scenario(self.scenario(), "0.1", HOUR)
         assert report.class_counts == {
             "exercise_profit": 1,
             "exercise_loss": 1,
@@ -271,7 +269,7 @@ class TestThreeClassOracle:
         assert abs(std_sq - Fraction(2923, 18)) < Fraction(1, 10**12)
 
     def test_payoffs(self):
-        report = run_scenario(self.scenario())
+        report = run_scenario(self.scenario(), "0.1", HOUR)
         by_id = {r.position_id: r for r in report.results}
         assert by_id["plus"].supporter_payoff == Decimal("19")
         assert by_id["minus"].supporter_payoff == Decimal("-5.5")
@@ -290,7 +288,7 @@ class TestEmptyAndErrors:
         )
 
     def test_empty_events_zero_report(self):
-        report = run_scenario(self.empty_scenario())
+        report = run_scenario(self.empty_scenario(), "0.1", 2 * HOUR)
         assert report.n_events == 0
         assert report.collateral_release_usd == 0
         assert report.collateral_restraint_usd == 0
@@ -304,7 +302,7 @@ class TestEmptyAndErrors:
         # the baseline is zero and no reduction is reported against it.
         s = scenario_a(Regime.FSL_ONLY)
         s.events = [LiquidationEvent(position=pos("100", "0"), path_offset=1)]
-        report = run_scenario(s)
+        report = run_scenario(s, "0.1", 2 * HOUR)
         assert report.fsl_baseline_release_usd == 0
         assert report.release_reduction is None
         assert report.to_json_dict()["release_reduction"] is None
@@ -316,22 +314,21 @@ class TestEmptyAndErrors:
             LiquidationEvent(position=pos("100", "200", pid="healthy"), path_offset=0),
         ]
         with pytest.raises(ScenarioError) as err:
-            run_scenario(s)
+            run_scenario(s, "0.1", 2 * HOUR)
         assert "event 1" in str(err.value)
         assert err.value.event_index == 1
 
     def test_maturity_beyond_path_rejected(self):
         s = scenario_a(Regime.MIQADO_ONLY)
-        s.miqado = miq(term=10 * 24 * HOUR)
         with pytest.raises(ScenarioError) as err:
-            run_scenario(s)
+            run_scenario(s, "0.1", 10 * 24 * HOUR)
         assert err.value.event_index == 0
 
     def test_bad_offset_rejected(self):
         s = scenario_a(Regime.FSL_ONLY)
         s.events[0].path_offset = 99
         with pytest.raises(ScenarioError):
-            run_scenario(s)
+            run_scenario(s, "0.1", 2 * HOUR)
 
 
 class TestBorrowerRescue:
@@ -343,11 +340,11 @@ class TestBorrowerRescue:
             events=[event_a()],
             path=path,
             fsl=FSL,
-            miqado=miq(lam="0.1", term=2 * HOUR, rescue_above_hf=Decimal("1.05")),
+            miqado=miq(rescue_above_hf=Decimal("1.05")),
             regime=Regime.MIQADO_ONLY,
             supporter_gate=False,
         )
-        report = run_scenario(s)
+        report = run_scenario(s, "0.1", 2 * HOUR)
         assert report.class_counts == {"terminated": 1}
         outcome = report.results[0]
         assert outcome.outcome_class == "terminated"
@@ -371,10 +368,12 @@ class TestHealthRecovery:
                 events=events,
                 path=PricePath.from_pairs([(0, "1.00"), (3600, "1.00")]),
                 fsl=FSL,
-                miqado=miq(lam=lam, term=HOUR),
+                miqado=miq(),
                 regime=Regime.MIQADO_ONLY,
                 supporter_gate=False,
-            )
+            ),
+            lam,
+            HOUR,
         )
 
     def test_hand_example(self):
@@ -427,11 +426,11 @@ class TestMetricOps:
         # Events settle independently, so a report's release is the sum of
         # the releases of its events run alone.
         s = scenario_b(Regime.FSL_ONLY)
-        total = run_scenario(s).collateral_release_usd
-        first = run_scenario(replace(s, events=s.events[:1])).collateral_release_usd
-        second = run_scenario(replace(s, events=s.events[1:])).collateral_release_usd
+        total = run_scenario(s, "0.1", HOUR).collateral_release_usd
+        first = run_scenario(replace(s, events=s.events[:1]), "0.1", HOUR).collateral_release_usd
+        second = run_scenario(replace(s, events=s.events[1:]), "0.1", HOUR).collateral_release_usd
         assert total == first + second
-        assert run_scenario(replace(s, events=[])).collateral_release_usd == 0
+        assert run_scenario(replace(s, events=[]), "0.1", HOUR).collateral_release_usd == 0
 
     def test_restraint_example(self):
         # Top-up 0.2 * 100 collateral units at price 10 restrains 200.
@@ -439,14 +438,14 @@ class TestMetricOps:
             events=[LiquidationEvent(position=pos("900", "100"), path_offset=0)],
             path=PricePath.from_pairs([(0, "10"), (3600, "10")]),
             fsl=FSL,
-            miqado=miq(lam="0.2", term=HOUR),
+            miqado=miq(),
             regime=Regime.MIQADO_ONLY,
             supporter_gate=False,
         )
-        report = run_scenario(s)
+        report = run_scenario(s, "0.2", HOUR)
         assert report.collateral_restraint_usd == Decimal("200")
         assert report.results[0].restraint_usd == Decimal("200")
-        assert run_scenario(replace(s, events=[])).collateral_restraint_usd == 0
+        assert run_scenario(replace(s, events=[]), "0.2", HOUR).collateral_restraint_usd == 0
 
     def test_payoff_table_all_defaults(self):
         rows = payoff_rows([outcome("default", "-10"), outcome("default", "-30")])
@@ -499,12 +498,34 @@ class TestSweep:
         with pytest.raises(ValueError):
             run_sweep(scenario_b(Regime.HYBRID), [], [HOUR])
 
+    @pytest.mark.parametrize(
+        "lambdas, terms",
+        [
+            pytest.param(["0.1"], [], id="no-terms"),
+            pytest.param(["0"], [HOUR], id="lambda=0"),
+            pytest.param(["0.1", "-0.1"], [HOUR], id="lambda<0"),
+            pytest.param(["0.1"], [0], id="term=0"),
+            pytest.param(["0.1"], [HOUR, -HOUR], id="term<0"),
+            pytest.param(["0.1", "0.10"], [2 * HOUR], id="lambdas=0.1,0.10"),
+            pytest.param(["0.1"], [HOUR, HOUR], id="terms=1h,1h"),
+        ],
+    )
+    def test_bad_grid_rejected(self, lambdas, terms):
+        # Every regime, even one that never opens a session, checks the grid.
+        for regime in Regime:
+            with pytest.raises(ValueError):
+                run_sweep(scenario_a(regime), lambdas, terms)
+
+
+#: A quarter year in seconds, the supporter-gate fixture's term.
+QUARTER = 31_536_000 // 4
+
 
 class TestSupporterGate:
     """Gate wiring through the engine: sigma estimation, engage/decline,
     and the hybrid fall-through to liquidation on decline."""
 
-    def gated_scenario(self, regime, lam, sigma=0.2):
+    def gated_scenario(self, regime, sigma=0.2):
         # lambda* ~ 0.077 for spot 100, strike 95, rate 0.05, sigma 0.2,
         # quarter-year term (verified against the MC oracle in option tests)
         path = PricePath.from_pairs(
@@ -518,26 +539,45 @@ class TestSupporterGate:
             events=events,
             path=path,
             fsl=FSL,
-            miqado=miq(lam=lam, term=31_536_000 // 4),
+            miqado=miq(),
             regime=regime,
             supporter_gate=True,
             sigma_override=sigma,
         )
 
     def test_engages_below_break_even(self):
-        report = run_scenario(self.gated_scenario(Regime.MIQADO_ONLY, "0.05"))
+        report = run_scenario(self.gated_scenario(Regime.MIQADO_ONLY), "0.05", QUARTER)
         assert "declined" not in report.class_counts
         assert report.collateral_restraint_usd > 0
 
     def test_declines_above_break_even(self):
-        report = run_scenario(self.gated_scenario(Regime.MIQADO_ONLY, "0.2"))
+        report = run_scenario(self.gated_scenario(Regime.MIQADO_ONLY), "0.2", QUARTER)
         assert report.class_counts == {"declined": 3}
         assert report.collateral_restraint_usd == 0
         assert report.collateral_release_usd == 0
         assert report.payoff_rows == []
 
+    def test_tie_engages(self):
+        # sigma 0, in-the-money forward over one year at borrow rate 0.3:
+        # lambda* = 1 - e^{-0.3} exactly; the next float above it declines
+        lam_star = 1 - math.exp(-0.3)
+        year = 31_536_000
+        s = Scenario(
+            events=[LiquidationEvent(position=pos("1", "1", rate="0.3"), path_offset=0)],
+            path=PricePath.from_pairs([(0, "1"), (year, "1")]),
+            fsl=FSL,
+            miqado=miq(),
+            regime=Regime.MIQADO_ONLY,
+            supporter_gate=True,
+            sigma_override=0.0,
+        )
+        tie = run_scenario(s, Decimal(repr(lam_star)), year)
+        assert "declined" not in tie.class_counts
+        above = run_scenario(s, Decimal(repr(math.nextafter(lam_star, 1))), year)
+        assert above.class_counts == {"declined": 1}
+
     def test_hybrid_decline_falls_through_to_liquidation(self):
-        report = run_scenario(self.gated_scenario(Regime.HYBRID, "0.2"))
+        report = run_scenario(self.gated_scenario(Regime.HYBRID), "0.2", QUARTER)
         assert report.class_counts == {"declined": 3}
         assert report.collateral_release_usd > 0
         declined = report.results[0]
@@ -547,35 +587,35 @@ class TestSupporterGate:
 
     def test_model_input_out_of_range_names_event(self):
         # exp(-foreign_rate * term) overflows a float in the option value
-        s = self.gated_scenario(Regime.MIQADO_ONLY, "0.05")
+        s = self.gated_scenario(Regime.MIQADO_ONLY)
         s.foreign_rate = -1e6
         with pytest.raises(ScenarioError, match="foreign_rate") as err:
-            run_scenario(s)
+            run_scenario(s, "0.05", QUARTER)
         assert err.value.event_index == 0
 
     def test_model_volatility_out_of_range_names_sigma_override(self):
         # volatility**2 overflows a float in the option value
-        s = self.gated_scenario(Regime.MIQADO_ONLY, "0.05", sigma=1e200)
+        s = self.gated_scenario(Regime.MIQADO_ONLY, sigma=1e200)
         with pytest.raises(ScenarioError, match="check sigma_override$") as err:
-            run_scenario(s)
+            run_scenario(s, "0.05", QUARTER)
         assert err.value.event_index == 0
 
     def test_model_value_out_of_float_range_names_event(self):
         # spot 1e307 grown by exp(20 * 0.25) overflows the call value
-        s = self.gated_scenario(Regime.MIQADO_ONLY, "0.05")
+        s = self.gated_scenario(Regime.MIQADO_ONLY)
         s.path = PricePath.from_pairs([(i * HOUR, "1e307") for i in range(2200)])
         s.events = [LiquidationEvent(position=pos("1e307", "1"), path_offset=0)]
         s.foreign_rate = -20.0
         with pytest.raises(ScenarioError, match="call price") as err:
-            run_scenario(s)
+            run_scenario(s, "0.05", QUARTER)
         assert err.value.event_index == 0
 
     def test_zero_collateral_value_names_event(self):
         # 1e-400 collateral is not zero, but its float value is
-        s = self.gated_scenario(Regime.MIQADO_ONLY, "0.05")
+        s = self.gated_scenario(Regime.MIQADO_ONLY)
         s.events = [LiquidationEvent(position=pos("95", "1e-400"), path_offset=0)]
         with pytest.raises(ScenarioError) as err:
-            run_scenario(s)
+            run_scenario(s, "0.05", QUARTER)
         assert str(err.value) == (
             "event 0: collateral value is zero, premium factor undefined; "
             "check the trigger price, collateral"
@@ -585,29 +625,45 @@ class TestSupporterGate:
         # HF 0.96 is below one, but buffer 0.05 closes hybrid's window
         # (CR * (theta + buffer) = 1.02). A priced event would fail here:
         # volatility**2 overflows a float.
-        s = self.gated_scenario(Regime.HYBRID, "0.05", sigma=1e200)
+        s = self.gated_scenario(Regime.HYBRID, sigma=1e200)
         s.events = [LiquidationEvent(position=pos("100", "120"), path_offset=0)]
         s.path = PricePath.from_pairs([(i * HOUR, "1") for i in range(2200)])
         s.miqado = replace(s.miqado, buffer=Decimal("0.05"))
-        report = run_scenario(s)
+        report = run_scenario(s, "0.05", QUARTER)
         assert report.class_counts == {"ineligible": 1}
 
     def test_path_too_short_to_estimate_sigma(self):
-        s = self.gated_scenario(Regime.MIQADO_ONLY, "0.05", sigma=None)
+        s = self.gated_scenario(Regime.MIQADO_ONLY, sigma=None)
         s.path = PricePath.from_pairs([(0, "100")])
         s.events = s.events[:1]
         with pytest.raises(InsufficientDataError):
-            run_scenario(s)
+            run_scenario(s, "0.05", QUARTER)
+
+    def test_negative_sigma_override_names_it(self):
+        s = self.gated_scenario(Regime.MIQADO_ONLY, sigma=-0.1)
+        with pytest.raises(ScenarioError) as err:
+            run_scenario(s, "0.05", QUARTER)
+        assert str(err.value) == "event 0: volatility must be >= 0; check sigma_override"
+
+    def test_declined_term_never_looks_up_its_maturity(self):
+        # lambda* is about 0.08 at a quarter year and 0.1 at half a year,
+        # so both terms decline both premium factors. The half-year
+        # maturity lies past the path's end; a declined cell never needs it.
+        s = self.gated_scenario(Regime.HYBRID)
+        assert s.path[-1].timestamp < 2 * QUARTER
+        sweep = run_sweep(s, ["0.2", "0.3"], [QUARTER, 2 * QUARTER])
+        for _, _, report in sweep.cells:
+            assert report.class_counts == {"declined": 3}
 
     def test_sigma_estimated_from_path_when_not_overridden(self):
         # flat path: estimated sigma is 0; with the debt above the spot's
         # forward value the takeover right is worthless, so all decline
-        s = self.gated_scenario(Regime.MIQADO_ONLY, "0.05", sigma=None)
+        s = self.gated_scenario(Regime.MIQADO_ONLY, sigma=None)
         s.events = [
             LiquidationEvent(position=pos("110", "1", pid=f"g{i}"), path_offset=0)
             for i in range(3)
         ]
-        report = run_scenario(s)
+        report = run_scenario(s, "0.05", QUARTER)
         assert report.class_counts == {"declined": 3}
 
 
@@ -621,19 +677,19 @@ class TestRegimeSetsWindow:
             events=[LiquidationEvent(position=pos("100", "120"), path_offset=0)],
             path=PricePath.from_pairs([(0, "1"), (HOUR, "1")]),
             fsl=FSL,
-            miqado=miq(term=HOUR, buffer=Decimal("0.05")),
+            miqado=miq(buffer=Decimal("0.05")),
             regime=regime,
             supporter_gate=False,
         )
 
     def test_miqado_only_initiates_below_hf_one(self):
-        report = run_scenario(self.scenario(Regime.MIQADO_ONLY))
+        report = run_scenario(self.scenario(Regime.MIQADO_ONLY), "0.1", HOUR)
         # top-up 12 at p 1; at maturity 132 >= 100: exercised
         assert report.class_counts == {"exercise_profit": 1}
         assert report.collateral_restraint_usd == 12
 
     def test_hybrid_buffer_closes_window_and_liquidates(self):
-        report = run_scenario(self.scenario(Regime.HYBRID))
+        report = run_scenario(self.scenario(Regime.HYBRID), "0.1", HOUR)
         # repay 50, seize 52.5 at p 1
         assert report.class_counts == {"ineligible": 1}
         assert report.collateral_release_usd.quantize(Decimal("1e-15")) == Decimal("52.5")
@@ -646,19 +702,21 @@ class TestPureModeNewRound:
 
         position = pos("100", "100")
         price = Price(Decimal(1))
-        session = initiate(position, price, Decimal("0.8"), miq(term=HOUR), now=0)
+        session = initiate(position, price, Decimal("0.8"), miq(), Decimal("0.1"), HOUR, now=0)
         settle_at_maturity(session, position, Price(Decimal("0.8")), now=HOUR)
         # defaulted: the lock is released and the (still unhealthy)
         # position can host another round
         assert position.active_session_id is None
-        again = initiate(position, Price(Decimal("0.8")), Decimal("0.8"), miq(term=HOUR), now=HOUR)
+        again = initiate(
+            position, Price(Decimal("0.8")), Decimal("0.8"), miq(), Decimal("0.1"), HOUR, now=HOUR
+        )
         assert again.started == HOUR
         assert position.collateral.value == Decimal("121")  # 110 * 1.1
 
     def test_report_matches_health_recovery_op(self):
         s = scenario_b(Regime.MIQADO_ONLY)
-        report = run_scenario(s)
-        lam = Fraction(s.miqado.premium_factor)
+        report = run_scenario(s, "0.1", HOUR)
+        lam = Fraction("0.1")
         recovered = [
             health_factor(ev.position, s.path[ev.path_offset].price, FSL.theta) * (1 + lam) >= 1
             for ev in s.events
@@ -837,7 +895,6 @@ class TestSweepSharesTriggerFacts:
         s = scenario_a(regime, pool=pool, sold_fraction=Decimal("0.5"))
         s.path = path_b()
         s.events = [event_a(), event_a()]
-        s.miqado = miq(term=2 * HOUR)
         sweep = run_sweep(s, ["0.1"], [2 * HOUR])
         first, second = sweep.cells[0][2].results
         assert first.price_decline is not None
@@ -847,15 +904,24 @@ class TestSweepSharesTriggerFacts:
     @pytest.mark.parametrize("regime", list(Regime))
     def test_cells_equal_standalone_runs(self, regime):
         base = gated_rescue_scenario(regime)
-        # Unsorted terms: an event's cells share its running peaks, which
-        # the 3-hour cell must rebuild and the 2-hour cell may reuse.
+        # Unsorted terms: each term of an event finds its own maturity and
+        # running peaks.
         lambdas, terms = ["0.01", "0.05", "0.2"], [HOUR, 3 * HOUR, 2 * HOUR]
         sweep = run_sweep(base, lambdas, terms)
         assert len(sweep.cells) == len(lambdas) * len(terms)
+        # The gate's break-even factor is found once per (event, term) and
+        # splits that term's cells: some engage and some decline.
+        classes: dict[tuple[int, int], set[str]] = {}
+        for _, term, report in sweep.cells:
+            for r in report.results:
+                classes.setdefault((r.event_index, term), set()).add(r.outcome_class)
+        split = [
+            key for key, found in classes.items()
+            if "declined" in found and found - {"declined", "ineligible"}
+        ]
+        assert bool(split) == (regime is not Regime.FSL_ONLY)
         for lam, term, report in sweep.cells:
-            alone = run_scenario(
-                replace(base, miqado=replace(base.miqado, premium_factor=lam, term_seconds=term))
-            )
+            alone = run_scenario(base, lam, term)
             assert report.to_json_dict() == alone.to_json_dict()
 
     def test_payoff_rows_of_all_cells_equal_sweep_payoff_rows(self):
@@ -879,7 +945,7 @@ class TestSweepSharesTriggerFacts:
             (HOUR, "event 1: health factor 1.600000 at offset 0 is not below one"),
         ]:
             with pytest.raises(ScenarioError) as alone:
-                run_scenario(replace(s, miqado=miq(lam="0.1", term=term)))
+                run_scenario(s, "0.1", term)
             with pytest.raises(ScenarioError) as swept:
                 run_sweep(s, ["0.1"], [term])
             assert str(alone.value) == str(swept.value) == message
@@ -917,7 +983,7 @@ def rescue_cases(draw):
     event = LiquidationEvent(position=pos(debt, collateral), path_offset=offset)
     lam = draw(st.sampled_from(["0.01", "0.1", "0.5"]))
     threshold = _milli(draw(st.integers(0, 2000)))
-    return path, event, miq(lam=lam, term=term_hours * HOUR), threshold
+    return path, event, Decimal(lam), term_hours * HOUR, threshold
 
 
 class TestRescuePriceBound:
@@ -943,7 +1009,7 @@ class TestRescuePriceBound:
             events=[event or event_a()],
             path=load_price_csv(self.PATH_CSV),
             fsl=FSL,
-            miqado=miq(lam="0.1", term=2 * HOUR, rescue_above_hf=Decimal(threshold)),
+            miqado=miq(rescue_above_hf=Decimal(threshold)),
             regime=Regime.MIQADO_ONLY,
             supporter_gate=False,
         )
@@ -953,7 +1019,7 @@ class TestRescuePriceBound:
         [("1.43", "1.25"), ("1.4300000000000001", "1.30")],
     )
     def test_terminates_at_first_price_reaching_threshold(self, threshold, price):
-        report = run_scenario(self.scenario(threshold))
+        report = run_scenario(self.scenario(threshold), "0.1", 2 * HOUR)
         assert report.class_counts == {"terminated": 1}
         settlement = report.results[0]
         assert settlement.outcome_class == "terminated"
@@ -971,29 +1037,30 @@ class TestRescuePriceBound:
         # With no collateral the health factor is zero at every price: the
         # borrower rescues at once iff the threshold is at most zero.
         empty = LiquidationEvent(position=pos("100", "0", pid="empty"), path_offset=1)
-        report = run_scenario(self.scenario(threshold, event=empty))
+        report = run_scenario(self.scenario(threshold, event=empty), "0.1", 2 * HOUR)
         assert report.class_counts == {klass: 1}
 
     @given(case=rescue_cases())
     @settings(max_examples=300, deadline=None)
     def test_matches_step_by_step_reference(self, case):
-        path, event, params, h = case
+        path, event, lam, term, h = case
+        params = miq(rescue_above_hf=h)
         s = Scenario(
             events=[event],
             path=path,
             fsl=FSL,
-            miqado=replace(params, rescue_above_hf=h),
+            miqado=params,
             regime=Regime.MIQADO_ONLY,
             supporter_gate=False,
         )
-        row = run_scenario(s).results[0]
+        row = run_scenario(s, lam, term).results[0]
 
         # Reference: test the topped-up health factor at every point
         # between initiation and maturity, then terminate or settle.
         position = copy.copy(event.position)
         start = path[event.path_offset]
-        session = initiate(position, start.price, FSL.theta, params, start.timestamp)
-        maturity_idx = path.index_at_or_after(start.timestamp + params.term_seconds)
+        session = initiate(position, start.price, FSL.theta, params, lam, term, start.timestamp)
+        maturity_idx = path.index_at_or_after(start.timestamp + term)
         for pt in path.points[event.path_offset + 1 : maturity_idx]:
             if health_factor(position, pt.price, FSL.theta) >= h:
                 outcome = terminate(session, position, pt.price, pt.timestamp, params)
