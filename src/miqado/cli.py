@@ -31,6 +31,7 @@ from .sim import (
     load_events_csv,
     load_outcomes_csv,
     aggregate_outcome_rows,
+    check_sweep_axis,
     outcome_rows_from_report,
     report_to_json,
     run_sweep,
@@ -62,6 +63,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_flag(text: str, flag: str) -> Decimal:
+    """A decimal flag by the config number rule and > 0, else a ValueError naming it."""
+    try:
+        value = _as_number(text, flag)
+    except ConfigError as exc:
+        raise ValueError(str(exc)) from None
+    if value <= 0:
+        raise ValueError(f"{flag}: expected a number > 0, got {text}")
+    return value
+
+
 def _write_atomic(path: Path, data: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(data, encoding="utf-8")
@@ -89,9 +101,7 @@ def cmd_price(args: argparse.Namespace) -> int:
             volatility=args.sigma,
             term=args.term,
         )
-        collateral = Amount.collateral(to_decimal(args.collateral))
-        if collateral.is_zero():
-            raise ValueError("--collateral must be > 0")
+        collateral = Amount.collateral(_positive_flag(args.collateral, "--collateral"))
         price = bs_call_price(inputs)
         lam_star = optimal_premium_factor(
             Price(to_decimal(args.spot)),
@@ -120,7 +130,7 @@ def cmd_price(args: argparse.Namespace) -> int:
 def cmd_gbm(args: argparse.Namespace) -> int:
     try:
         params = GbmParams(
-            p0=Price(to_decimal(args.p0)),
+            p0=Price(_positive_flag(args.p0, "--p0")),
             mu=args.mu,
             sigma=args.sigma,
             dt=args.dt,
@@ -252,18 +262,13 @@ def load_config(config_path: Path, seed_override: int | None = None) -> RunConfi
 
     sweep_raw = _section(_require(raw, "sweep"), "sweep.", ("lambdas", "terms_hours"))
     lambdas = _numbers(sweep_raw, "lambdas", "sweep.")
+    _build("sweep.lambdas", check_sweep_axis, lambdas)
     with ledger_context():
         terms_seconds = [
             _as_number(h * 3600, "sweep.terms_hours (in seconds)", int)
             for h in _numbers(sweep_raw, "terms_hours", "sweep.")
         ]
-    if min(lambdas) <= 0:
-        raise ConfigError("premium factors must be > 0", field="sweep.lambdas")
-    if min(terms_seconds) <= 0:
-        raise ConfigError("terms must be at least one second", field="sweep.terms_hours")
-    for values, name in ((lambdas, "sweep.lambdas"), (terms_seconds, "sweep.terms_hours")):
-        if len(set(values)) != len(values):
-            raise ConfigError("values must be distinct", field=name)
+    _build("sweep.terms_hours", check_sweep_axis, terms_seconds)
 
     miq_raw = _section(_require(raw, "miqado"), "miqado.", ("k_re", "buffer", "rescue_above_hf"))
     miqado = _build(
@@ -360,12 +365,14 @@ def _payoff_table_csv(sweep: SweepResult) -> str:
     return write_csv(PAYOFF_TABLE_CSV_HEADER, map(astuple, sweep.payoff_rows))
 
 
-def _metrics_csv(sweep: SweepResult) -> str:
+def _metrics_csv(cells: list[dict]) -> str:
+    """metrics.csv: one row per cell dict of report.json's `cells`."""
     rows = []
-    for lam, term, rep in sweep.cells:
-        d = rep.to_json_dict()
-        counts = (rep.class_counts.get(c, 0) for c in _CLASSES)
-        rows.append([lam, term, *(d[key] for key in _METRICS_REPORT_FIELDS), *counts])
+    for cell in cells:
+        rep = cell["report"]
+        values = (rep[key] for key in _METRICS_REPORT_FIELDS)
+        counts = (rep["class_counts"].get(c, 0) for c in _CLASSES)
+        rows.append([cell["premium_factor"], cell["term_seconds"], *values, *counts])
     return write_csv(METRICS_CSV_HEADER, rows)
 
 
@@ -379,7 +386,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     payload["seed"] = config.seed
     _write_atomic(out_dir / "report.json", report_to_json(payload))
     _write_atomic(out_dir / "payoff_table.csv", _payoff_table_csv(sweep))
-    _write_atomic(out_dir / "metrics.csv", _metrics_csv(sweep))
+    _write_atomic(out_dir / "metrics.csv", _metrics_csv(payload["cells"]))
     rows = []
     for _, _, rep in sweep.cells:
         rows.extend(outcome_rows_from_report(rep))

@@ -23,7 +23,7 @@ through `csv_decimal`, and written by `write_csv`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Context, Decimal, InvalidOperation, localcontext
 from enum import Enum
 from fractions import Fraction
@@ -209,9 +209,6 @@ class Amount:
         with ledger_context():
             return Amount(self.value * f, self.unit)
 
-    def is_zero(self) -> bool:
-        return self.value == 0
-
 
 @dataclass(frozen=True)
 class Price:
@@ -298,26 +295,22 @@ class FslOutcome:
 
 
 def health_factor(pos: BorrowingPosition, p: Price, theta: Numeric) -> Fraction:
-    """Discounted collateral value over debt: C * p * theta / D.
-
-    Returned as an exact Fraction; the position is liquidatable when the
-    result is below one.
-    """
+    """Discounted collateral value over debt: C * p * theta / D, the one
+    evaluation of the formula. Returned as an exact Fraction, built from
+    the operands' integer ratios and reduced once; the position is
+    liquidatable when the result is below one."""
     if pos.debt.value == 0:
         raise UndefinedHealthError(f"position {pos.id} has zero debt")
-    return (
-        Fraction(pos.collateral.value)
-        * Fraction(p.value)
-        * Fraction(to_decimal(theta))
-        / Fraction(pos.debt.value)
-    )
+    cn, cd = pos.collateral.value.as_integer_ratio()
+    pn, pd = p.value.as_integer_ratio()
+    tn, td = to_decimal(theta).as_integer_ratio()
+    dn, dd = pos.debt.value.as_integer_ratio()
+    return Fraction(cn * pn * tn * dd, cd * pd * td * dn)
 
 
 def collateralization_ratio(pos: BorrowingPosition, p: Price) -> Fraction:
-    """Collateral value over debt: C * p / D (no discount)."""
-    if pos.debt.value == 0:
-        raise UndefinedHealthError(f"position {pos.id} has zero debt")
-    return Fraction(pos.collateral.value) * Fraction(p.value) / Fraction(pos.debt.value)
+    """Collateral value over debt: C * p / D, the health factor undiscounted."""
+    return health_factor(pos, p, 1)
 
 
 def is_liquidatable(pos: BorrowingPosition, p: Price, theta: Numeric) -> bool:
@@ -390,9 +383,5 @@ def fsl_post_health_factor(
         coll_after = pos.collateral.value - seized
     if debt_after == 0:
         return math.inf
-    return (
-        Fraction(coll_after)
-        * Fraction(p.value)
-        * Fraction(params.theta)
-        / Fraction(debt_after)
-    )
+    after = replace(pos, debt=Amount.debt(debt_after), collateral=Amount.collateral(coll_after))
+    return health_factor(after, p, params.theta)

@@ -135,6 +135,8 @@ class GbmParams:
             raise ValueError("dt must be > 0")
         if not 1 <= self.steps <= MAX_GBM_STEPS:
             raise ValueError(f"steps must lie in [1, {MAX_GBM_STEPS}]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.5 < self.dt * SECONDS_PER_YEAR < math.inf:  # rounds to >= 1 s
             raise ValueError("dt is below one second of resolution or not finite")
         last_ts = self.start_ts + self.steps * round(self.dt * SECONDS_PER_YEAR)

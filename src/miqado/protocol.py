@@ -209,7 +209,7 @@ def settle_at_maturity(
     session: MiqadoSession,
     pos: BorrowingPosition,
     p_maturity: Price,
-    now: int | None = None,
+    now: int,
 ) -> SettlementOutcome:
     """Exercise-or-default decision at maturity.
 
@@ -219,10 +219,8 @@ def settle_at_maturity(
     the premium is lost in full and the top-up stays in the position.
     """
     _require_active(session)
-    if now is not None and now < session.maturity:
-        raise TooEarlyError(
-            f"maturity is {session.maturity}, cannot settle at {now}"
-        )
+    if now < session.maturity:
+        raise TooEarlyError(f"maturity is {session.maturity}, cannot settle at {now}")
     strike = pos.debt.value  # outstanding-debt strike rule
     with ledger_context():
         collateral_value = pos.collateral.value * p_maturity.value

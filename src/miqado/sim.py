@@ -574,12 +574,22 @@ class SweepResult:
         }
 
 
+def check_sweep_axis(values: Sequence[Numeric]) -> None:
+    """The rule for each axis of a sweep grid: non-empty, every value > 0
+    and no two equal as numbers, since 0.1 and 0.10 would be one cell
+    counted twice. Raises ValueError otherwise."""
+    if not values or min(values) <= 0:
+        raise ValueError("sweep values must be non-empty and > 0")
+    if len(set(values)) != len(values):
+        raise ValueError("sweep values must be distinct")
+
+
 def run_sweep(
     base: Scenario, premium_factors: Sequence[Numeric], terms_seconds: Sequence[int]
 ) -> SweepResult:
     """Replay the scenario in every (premium factor, term) cell, ordered
-    term-major like a payoff table is usually read. Grid values must be
-    positive and, on each axis, distinct.
+    term-major like a payoff table is usually read. Each axis must pass
+    `check_sweep_axis`.
 
     Per sweep: the regime's buffer rule and the gate's volatility. Per
     event, in order: the trigger check, the trigger liquidation (the FSL
@@ -591,10 +601,8 @@ def run_sweep(
     sweep names its lowest-index failing event, in the first cell
     (term-major) where it fails."""
     lambdas = [to_decimal(lam) for lam in premium_factors]
-    if not (lambdas and terms_seconds and min(lambdas) > 0 and min(terms_seconds) > 0):
-        raise ValueError("sweep grids must be non-empty, with values > 0")
-    if len(set(lambdas)) < len(lambdas) or len(set(terms_seconds)) < len(terms_seconds):
-        raise ValueError("sweep grid values must be distinct")
+    check_sweep_axis(lambdas)
+    check_sweep_axis(terms_seconds)
     s = base
     # The regime alone sets the engagement window: without liquidation it
     # is the liquidation threshold HF < 1, i.e. buffer 0.
@@ -708,14 +716,7 @@ def synthesize_events(
             borrow_rate=to_decimal(borrow_rate),
         )
         if health_factor(pos, price, theta_dec) >= 1:
-            with ledger_context():
-                debt *= Decimal("1.000000000001")
-            pos = BorrowingPosition(
-                id=pos.id,
-                debt=Amount.debt(debt),
-                collateral=Amount.collateral(coll),
-                borrow_rate=to_decimal(borrow_rate),
-            )
+            pos.debt = pos.debt.scaled(Decimal("1.000000000001"))
         events.append(LiquidationEvent(position=pos, path_offset=offset))
     return events
 

@@ -167,6 +167,11 @@ class TestPrice:
                 id="spot*collateral=1e-400",
             ),
             pytest.param({"--collateral": "1e400"}, "usage error", id="collateral=1e400"),
+            # Unreadable or non-positive decimal flags name the flag.
+            pytest.param({"--collateral": "-1"}, "--collateral", id="collateral=-1"),
+            pytest.param({"--collateral": "0"}, "--collateral", id="collateral=0"),
+            pytest.param({"--collateral": "abc"}, "--collateral", id="collateral=abc"),
+            pytest.param({"--collateral": "nan"}, "--collateral", id="collateral=nan"),
             pytest.param(
                 {"--spot": "1e-300", "--strike": "1e300", "--sigma": "100", "--term": "1e10"},
                 "log(spot / strike) is undefined; check --spot, --strike",
@@ -231,6 +236,11 @@ class TestGbm:
             pytest.param("--sigma", "nan", id="sigma=nan"),
             pytest.param("--mu", "inf", id="mu=inf"),
             pytest.param("--dt", "-inf", id="dt=-inf"),
+            # --p0 is a decimal > 0 by the config number rule.
+            pytest.param("--p0", "1e400", id="p0=1e400"),
+            pytest.param("--p0", "nan", id="p0=nan"),
+            pytest.param("--p0", "abc", id="p0=abc"),
+            pytest.param("--p0", "-1", id="p0=-1"),
         ],
     )
     def test_non_finite_value_is_usage_error(self, capsys, flag, value):
@@ -482,6 +492,9 @@ class TestSimulate:
                 {"synthetic": {"count": 100_001}},
                 ("events.synthetic", "count"),
                 id="count=100001",
+            ),
+            pytest.param(
+                ("path",), {"gbm": dict(GBM, seed=-1)}, ("path.gbm", "seed"), id="gbm.seed=-1"
             ),
         ],
     )

@@ -52,7 +52,27 @@ unit_fractions = st.decimals(
 )
 
 
+#: Decimals anywhere in the CSV cell range: orders of magnitude within ±1000.
+csv_range_decimals = st.builds(
+    lambda digits, exponent: Decimal(digits).scaleb(exponent),
+    st.integers(min_value=1, max_value=10**20 - 1),
+    st.integers(min_value=-1000, max_value=980),
+)
+
+
 class TestHealthFactor:
+    @given(
+        c=csv_range_decimals,
+        d=csv_range_decimals,
+        p=csv_range_decimals,
+        theta=st.one_of(st.just(Decimal(1)), csv_range_decimals),
+    )
+    def test_equals_four_fraction_product(self, c, d, p, theta):
+        # The definition, one Fraction per operand, is the reference.
+        pos = make_pos(str(d), str(c))
+        expected = Fraction(c) * Fraction(p) * Fraction(theta) / Fraction(d)
+        assert health_factor(pos, Price(p), theta) == expected
+
     def test_hand_example(self):
         pos = make_pos("100", "150")
         assert health_factor(pos, Price(Decimal(1)), Decimal("0.8")) == Fraction(6, 5)

@@ -179,7 +179,7 @@ class TestTerminate:
         with pytest.raises(SessionStateError):
             terminate(session, pos, Price(Decimal(1)), now=HOUR, params=prm)
         with pytest.raises(SessionStateError):
-            settle_at_maturity(session, pos, Price(Decimal(1)))
+            settle_at_maturity(session, pos, Price(Decimal(1)), now=HOUR)
 
 
 class TestSettleAtMaturity:

@@ -762,6 +762,22 @@ class TestSynthesizeEvents:
             # maturity for the longest term stays on the path
             assert path[ev.path_offset].timestamp + 24 * HOUR <= path[-1].timestamp
 
+    def test_debt_bump_keeps_trigger_below_one(self):
+        # A band this close to one rounds the drawn health factor to one,
+        # so the solved debt gives HF >= 1 and is bumped up.
+        path = PricePath.from_pairs([(i * HOUR, "100") for i in range(60)])
+        theta = Decimal("0.8")
+        band = ("0.99999999999999999999999999999", "0.999999999999999999999999999999")
+        events = synthesize_events(path, theta, count=5, seed=1, hf_band=band)
+        unbumped_hfs = []
+        for ev in events:
+            price = path[ev.path_offset].price
+            assert health_factor(ev.position, price, theta) < 1
+            debt = ev.position.debt.value / Decimal("1.000000000001")
+            unbumped = replace(ev.position, debt=Amount.debt(debt))
+            unbumped_hfs.append(health_factor(unbumped, price, theta))
+        assert max(unbumped_hfs) >= 1
+
     def test_band_validation(self):
         path = PricePath.from_pairs([(i * HOUR, "100") for i in range(60)])
         with pytest.raises(ValueError):
