@@ -9,7 +9,6 @@ from .core import (
     FslParams,
     Price,
     Unit,
-    collateralization_ratio,
     execute_fsl,
     fsl_post_health_factor,
     health_factor,

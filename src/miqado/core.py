@@ -9,9 +9,9 @@ differences and products of realistic magnitudes are exact; the only
 rounding happens on divisions (collateral seized per repaid debt) and on
 serialization, which quantizes to 18 fractional digits.
 
-Ratio-valued quantities (health factor, collateralization ratio) are
-returned as `fractions.Fraction` so identities such as CR * theta == HF
-hold exactly, not merely to the last retained digit.
+The health factor is returned as a `fractions.Fraction` so identities
+such as HF(theta=1) * theta == HF hold exactly, not merely to the last
+retained digit.
 
 Timestamps are integer Unix seconds throughout the package; durations are
 converted to years by dividing by `SECONDS_PER_YEAR`.
@@ -249,10 +249,6 @@ class BorrowingPosition:
         if not (0 < self.borrow_rate < 1):
             raise ValueError("borrow_rate must lie in (0, 1)")
 
-    @property
-    def is_closed(self) -> bool:
-        return self.debt.value == 0
-
 
 @dataclass(frozen=True)
 class FslParams:
@@ -306,11 +302,6 @@ def health_factor(pos: BorrowingPosition, p: Price, theta: Numeric) -> Fraction:
     tn, td = to_decimal(theta).as_integer_ratio()
     dn, dd = pos.debt.value.as_integer_ratio()
     return Fraction(cn * pn * tn * dd, cd * pd * td * dn)
-
-
-def collateralization_ratio(pos: BorrowingPosition, p: Price) -> Fraction:
-    """Collateral value over debt: C * p / D, the health factor undiscounted."""
-    return health_factor(pos, p, 1)
 
 
 def is_liquidatable(pos: BorrowingPosition, p: Price, theta: Numeric) -> bool:

@@ -14,7 +14,7 @@ class UnitMismatchError(MiqadoError):
 
 
 class UndefinedHealthError(MiqadoError):
-    """Health factor or collateralization ratio requested for zero debt."""
+    """Health factor requested for zero debt."""
 
 
 class NotLiquidatableError(MiqadoError):

@@ -7,7 +7,15 @@ serialization round-trip bit-exactly because prices are kept as Decimal.
 Synthetic paths use geometric Brownian motion driven by a PCG64 generator;
 normal variates come from the inverse CDF applied to open-interval
 uniforms (53-bit integers mapped into (0,1)), so a seed pins the path
-bytes on every platform.
+bytes on every platform. The draws (`_gbm_draws`) are a pure-Python port
+that reproduces NumPy's `Generator(PCG64(seed)).integers(1, 2**53)` and
+SciPy's `special.ndtri` bit for bit:
+- S. Moshier, Cephes Math Library, `ndtri.c`;
+- M. O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically
+  Good Algorithms for Random Number Generation", 2014;
+- D. Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS,
+  2019;
+- NumPy's `SeedSequence` entropy mixing.
 """
 
 from __future__ import annotations
@@ -19,9 +27,7 @@ from dataclasses import dataclass, replace
 from decimal import Decimal
 from typing import Iterable
 
-import numpy as np
-from scipy.special import ndtri
-
+from ._gbm_draws import ndtri, open_uniforms
 from .core import (
     SECONDS_PER_YEAR,
     Amount,
@@ -144,12 +150,6 @@ class GbmParams:
             raise ValueError("timestamps must lie in [-2**63, 2**63)")
 
 
-def _open_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
-    # 53-bit integers in [1, 2^53 - 1] mapped to the open interval (0, 1),
-    # so the inverse CDF below never sees 0 or 1.
-    return rng.integers(1, 2**53, size=n).astype(np.float64) / float(2**53)
-
-
 def generate_gbm(params: GbmParams) -> PricePath:
     """Simulate p_{i+1} = p_i * exp((mu - sigma^2/2) dt + sigma sqrt(dt) z_i).
 
@@ -165,13 +165,12 @@ def generate_gbm(params: GbmParams) -> PricePath:
         if params.sigma == 0:
             values = [p0 * math.exp(params.mu * i * params.dt) for i in range(params.steps + 1)]
         else:
-            rng = np.random.Generator(np.random.PCG64(params.seed))
-            z = ndtri(_open_uniforms(rng, params.steps))
+            z = [ndtri(u) for u in open_uniforms(params.seed, params.steps)]
             drift = (params.mu - 0.5 * params.sigma * params.sigma) * params.dt
             vol = params.sigma * math.sqrt(params.dt)
             values = [p0]
             for zi in z:
-                values.append(values[-1] * math.exp(drift + vol * float(zi)))
+                values.append(values[-1] * math.exp(drift + vol * zi))
     except OverflowError:
         raise ValueError("a price overflows; mu, sigma or dt is too large") from None
     return PricePath.from_pairs(zip(stamps, (Decimal(repr(v)) for v in values)))

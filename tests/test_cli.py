@@ -854,3 +854,25 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert "call_price 20" in result.stdout
+
+    def test_runs_without_numpy_or_scipy(self, tmp_path):
+        # The runtime needs only the standard library: importing the CLI
+        # loads neither library, and a sweep with both imports blocked
+        # (a None entry in sys.modules makes `import` raise) still writes
+        # the pinned bytes.
+        script = (
+            "import json, sys\n"
+            "import miqado.cli\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))\n"
+            "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+            "code = miqado.cli.main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(json.dumps({'loaded': loaded, 'code': code}))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(FIXTURES / "config_sweep.json"), str(tmp_path)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == {"loaded": [], "code": 0}
+        for name, digest in SWEEP_DIGESTS.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -14,7 +14,6 @@ from miqado.core import (
     BorrowingPosition,
     FslParams,
     Price,
-    collateralization_ratio,
     csv_decimal,
     csv_int,
     execute_fsl,
@@ -92,15 +91,13 @@ class TestHealthFactor:
         with pytest.raises(UndefinedHealthError):
             health_factor(pos, Price(Decimal(1)), Decimal("0.8"))
         with pytest.raises(UndefinedHealthError):
-            collateralization_ratio(pos, Price(Decimal(1)))
+            health_factor(pos, Price(Decimal(1)), 1)
 
     @given(c=pos_decimals, d=pos_decimals, p=pos_decimals, theta=unit_fractions)
     def test_cr_theta_identity(self, c, d, p, theta):
         pos = make_pos(str(d), str(c))
         price = Price(p)
-        assert collateralization_ratio(pos, price) * Fraction(theta) == health_factor(
-            pos, price, theta
-        )
+        assert health_factor(pos, price, 1) * Fraction(theta) == health_factor(pos, price, theta)
 
     @given(c=pos_decimals, d=pos_decimals, p=pos_decimals, theta=unit_fractions)
     def test_monotonicity(self, c, d, p, theta):
@@ -116,10 +113,10 @@ class TestHealthFactor:
 
 class TestCollateralizationRatio:
     def test_identity_case(self):
-        assert collateralization_ratio(make_pos("100", "100"), Price(Decimal(1))) == 1
+        assert health_factor(make_pos("100", "100"), Price(Decimal(1)), 1) == 1
 
     def test_hand_example(self):
-        assert collateralization_ratio(make_pos("100", "150"), Price(Decimal(1))) == Fraction(3, 2)
+        assert health_factor(make_pos("100", "150"), Price(Decimal(1)), 1) == Fraction(3, 2)
 
 
 class TestIsLiquidatable:
@@ -272,7 +269,7 @@ class TestFslPostHealthFactor:
         assume(is_liquidatable(pos, price, theta))
         predicted = fsl_post_health_factor(pos, price, params)
         execute_fsl(pos, price, params, Amount.debt(d * k))
-        if pos.is_closed:
+        if pos.debt.value == 0:
             assert predicted == math.inf
         else:
             assert predicted == health_factor(pos, price, theta)

@@ -3,10 +3,13 @@
 import math
 from decimal import Decimal
 
+import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from miqado._gbm_draws import ndtri, open_uniforms
 from miqado.core import Amount, Price, ledger_context
 from miqado.errors import CsvFormatError, PathRangeError
 from miqado.market import (
@@ -123,6 +126,59 @@ class TestGbm:
             GbmParams(p0=Price(Decimal(100)), mu=0, sigma=0.1, dt=0.0, steps=1, seed=0)
         with pytest.raises(ValueError):
             GbmParams(p0=Price(Decimal(100)), mu=0, sigma=0.1, dt=0.01, steps=0, seed=0)
+
+
+class TestGbmDraws:
+    """The pure-Python draws against the NumPy and SciPy routines they port."""
+
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 1, 2, 100, 101, 12345, 2**32 - 1, 2**32, 2**32 + 7, 2**63 - 1, 2**64 - 1,
+         2**64 + 3, 2**100 + 9, 2**200 + 1, 12345678901234567890123456789012345678901234],
+    )
+    def test_uniforms_equal_numpy(self, seed):
+        # Seeds past 2**128 have more than four 32-bit words, which
+        # SeedSequence mixes into the pool in a third loop.
+        n = 20_000
+        expected = np.random.Generator(np.random.PCG64(seed)).integers(1, 2**53, n) / 2**53
+        assert open_uniforms(seed, n) == expected.tolist()
+
+    def test_ndtri_equals_scipy(self):
+        rng = np.random.default_rng(2023)
+        y = np.concatenate([
+            rng.random(1_000_000),
+            np.exp(-rng.uniform(0, 700, 100_000)),  # lower tail, to about 1e-304
+            1 - np.exp(-rng.uniform(0, 36, 100_000)),  # upper tail, to 1 - 2**-52
+        ])
+        got = [ndtri(v) for v in y.tolist()]
+        mismatches = [
+            (v, a, b)
+            for v, a, b in zip(y.tolist(), got, scipy.special.ndtri(y).tolist())
+            if a != b
+        ]
+        assert mismatches == []
+
+    @pytest.mark.parametrize(
+        "boundary",
+        # where Cephes switches approximation: the central band's two edges,
+        # and sqrt(-2 log y) crossing 8
+        [1 - math.exp(-2), math.exp(-2), math.exp(-32)],
+    )
+    def test_ndtri_equals_scipy_at_branch_boundaries(self, boundary):
+        y = [boundary]
+        for toward in (0.0, 1.0):
+            v = boundary
+            for _ in range(64):
+                v = math.nextafter(v, toward)
+                y.append(v)
+        assert [ndtri(v) for v in y] == scipy.special.ndtri(np.array(y)).tolist()
+
+    def test_ndtri_edges_equal_scipy(self):
+        y = [0.0, 1.0, 5e-324, 0.5, math.nextafter(1.0, 0.0)]
+        assert [ndtri(v) for v in y] == scipy.special.ndtri(np.array(y)).tolist()
+        outside = [-0.5, 1.5, math.nan]
+        assert all(math.isnan(v) for v in scipy.special.ndtri(np.array(outside)))
+        assert all(math.isnan(ndtri(v)) for v in outside)
 
 
 class TestAmm:

@@ -195,7 +195,7 @@ class TestSettleAtMaturity:
         assert out.state is SessionState.EXERCISED
         # 110 * 1.2 - 100 - 10 = 22
         assert out.supporter_payoff == Decimal("22")
-        assert pos.is_closed
+        assert pos.debt.value == 0
         assert pos.collateral.value == 0
         assert pos.active_session_id is None
 
