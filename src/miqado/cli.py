@@ -323,9 +323,6 @@ def load_config(config_path: Path, seed_override: int | None = None) -> RunConfi
         syn = _section(
             events_raw["synthetic"], at, ("count", "seed", "hf_band", "collateral", "borrow_rate")
         )
-        hf_band = _numbers(syn, "hf_band", at, ["0.90", "0.9999"])
-        if len(hf_band) != 2:
-            raise ConfigError("expected [low, high]", field=f"{at}hf_band")
         events = _build(
             "events.synthetic",
             synthesize_events,
@@ -333,7 +330,7 @@ def load_config(config_path: Path, seed_override: int | None = None) -> RunConfi
             theta=fsl.theta,
             count=_number(syn, "count", at, int),
             seed=_number(syn, "seed", at, int, seed + 2),
-            hf_band=tuple(hf_band),
+            hf_band=tuple(_numbers(syn, "hf_band", at, ["0.90", "0.9999"])),
             collateral=_number(syn, "collateral", at, Decimal, Decimal(1)),
             borrow_rate=_number(syn, "borrow_rate", at, Decimal, Decimal("0.05")),
             max_term_seconds=max(terms_seconds),

@@ -4,10 +4,11 @@ Ledger conventions
 ------------------
 All debt and collateral quantities are `decimal.Decimal` wrapped in a
 unit-tagged :class:`Amount`; prices are debt units per collateral unit.
-Ledger arithmetic runs in an 80-digit decimal context so that sums,
-differences and products of realistic magnitudes are exact; the only
-rounding happens on divisions (collateral seized per repaid debt) and on
-serialization, which quantizes to 18 fractional digits.
+Ledger arithmetic runs in an 80-digit decimal context. Sums, differences
+and products of 18-fractional-digit operands at realistic magnitudes are
+exact there. A quotient (collateral seized per repaid debt, an AMM swap, a
+synthetic debt) rounds at the 80th digit, and so may any sum or product
+computed from one. Serialization quantizes to 18 fractional digits.
 
 The health factor is returned as a `fractions.Fraction` so identities
 such as HF(theta=1) * theta == HF hold exactly, not merely to the last
@@ -40,7 +41,8 @@ from .errors import (
 SECONDS_PER_YEAR = 31_536_000
 
 #: Working precision for ledger arithmetic. Wide enough that products of
-#: 18-fractional-digit operands at realistic magnitudes never round.
+#: 18-fractional-digit operands at realistic magnitudes never round; an
+#: operand computed from a quotient carries 80 digits, so its products do.
 LEDGER_PRECISION = 80
 
 #: Resolution used when quantizing ledger values for reports and CSV output.

@@ -80,7 +80,7 @@ class PricePath:
         return cls(tuple(PricePoint(int(t), Price(to_decimal(v))) for t, v in pairs))
 
     @functools.cached_property
-    def _stamps(self) -> tuple[int, ...]:
+    def timestamps(self) -> tuple[int, ...]:
         """Every point's timestamp, built once per path."""
         return tuple(pt.timestamp for pt in self.points)
 
@@ -91,7 +91,7 @@ class PricePath:
 
     def index_at_or_after(self, timestamp: int) -> int:
         """Index of the first point with timestamp >= the argument."""
-        stamps = self._stamps
+        stamps = self.timestamps
         i = bisect.bisect_left(stamps, timestamp)
         if i == len(self.points):
             raise PathRangeError(

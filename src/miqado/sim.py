@@ -29,7 +29,8 @@ from __future__ import annotations
 import copy
 import json
 import math
-from bisect import bisect_left
+import statistics
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -336,12 +337,10 @@ def _payoff_row(
     well defined.
     """
     n = len(settled)
-    counts = {c: 0 for c in _MATURITY_CLASSES}
-    for r in settled:
-        counts[r.outcome_class] += 1
+    counts = Counter(r.outcome_class for r in settled)
     payoffs = [Fraction(r.supporter_payoff) for r in settled]
-    mean = sum(payoffs, Fraction(0)) / n
-    var = sum(((x - mean) ** 2 for x in payoffs), Fraction(0)) / n
+    mean = statistics.mean(payoffs)
+    var = statistics.pvariance(payoffs, mean)
     with ledger_context():
         var_dec = Decimal(var.numerator) / Decimal(var.denominator)
         std = var_dec.sqrt()
@@ -634,6 +633,7 @@ def run_sweep(
         hf_pre.append(hf)
         hf_post_fsl.append(hf_fsl)
         released.append(liquidation[0])
+    hf_pre.sort()  # every λ > 0, so each cell's (1+λ)·HF keeps this order
 
     common = dict(
         regime=s.regime,
@@ -679,23 +679,24 @@ def synthesize_events(
 ) -> list[LiquidationEvent]:
     """Sample desk-scale liquidation events along a path.
 
-    Each event sits at a path offset whose maturity (offset time plus the
-    longest sweep term) still lands on the path. The pre-trigger health
-    factor is uniform in `hf_band`; debt is then solved from the collateral,
-    price and theta so that the trigger condition holds by construction.
+    `count` must lie in [0, MAX_SYNTHETIC_EVENTS] and `hf_band` be exactly
+    (low, high). Each event sits at a path offset whose maturity (offset
+    time plus the longest sweep term) still lands on the path. The
+    pre-trigger health factor is uniform in `hf_band`, or the band's
+    midpoint where the float draw rounds out of it; debt is then solved
+    from the collateral, price and theta so that the trigger condition
+    holds by construction.
     """
-    if count > MAX_SYNTHETIC_EVENTS:
-        raise ValueError(f"count must be at most {MAX_SYNTHETIC_EVENTS}")
-    lo, hi = (to_decimal(hf_band[0]), to_decimal(hf_band[1]))
+    if not 0 <= count <= MAX_SYNTHETIC_EVENTS:
+        raise ValueError(f"count must lie in [0, {MAX_SYNTHETIC_EVENTS}]")
+    if len(hf_band) != 2:
+        raise ValueError("hf_band must be exactly (low, high)")
+    lo, hi = (to_decimal(v) for v in hf_band)
     if not 0 < lo < hi < 1:
         raise ValueError("hf_band must satisfy 0 < low < high < 1")
     theta_dec = to_decimal(theta)
     coll = to_decimal(collateral)
-    horizon = path[-1].timestamp - max_term_seconds
-    max_offset = -1
-    for i, pt in enumerate(path.points):
-        if pt.timestamp <= horizon:
-            max_offset = i
+    max_offset = bisect_right(path.timestamps, path[-1].timestamp - max_term_seconds) - 1
     if max_offset < 0:
         raise ValueError("path too short for the requested maximum term")
     rng = Random(seed)
@@ -704,7 +705,7 @@ def synthesize_events(
         offset = rng.randint(0, max_offset)
         u = rng.random()
         hf = Decimal(repr(float(lo) + (float(hi) - float(lo)) * u))
-        if hf >= hi:
+        if not lo <= hf < hi:
             hf = lo + (hi - lo) / 2
         price = path[offset].price
         with ledger_context():

@@ -6,13 +6,15 @@ import math
 import subprocess
 import sys
 import tempfile
-from decimal import Decimal
+from contextlib import contextmanager
+from decimal import Decimal, Inexact
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from miqado import cli, core, market, protocol, sim
 from miqado.cli import load_config, main
 from miqado.errors import CsvFormatError
 from miqado.market import load_price_csv
@@ -86,6 +88,16 @@ OUTCOME_PATH_PINS = {
             "outcomes.csv": "a6fc74629d5c9224b378c76d277ab45b2ca7a5ffc52032db9c71b1d95e5c3ef9",
         },
     ),
+}
+
+#: Every function whose ledger arithmetic rounds on config_sweep.json, as
+#: module.function: divisions, products of quotients, and the rounding of
+#: report values to the 18-digit grid.
+ROUNDING_SITES = {
+    "core._seizure", "core.execute_fsl", "core.fsl_post_health_factor", "core.quantize",
+    "market.amm_swap_base_for_quote", "market.direct_price_decline",
+    "sim._cell_report", "sim._fraction_to_decimal", "sim._liquidate", "sim._payoff_row",
+    "sim._sum", "sim.synthesize_events",
 }
 
 # Frozen Monte-Carlo oracle value for (100, 100, r=0.05, rf=0, sigma=0.2, T=1).
@@ -322,6 +334,34 @@ class TestSimulate:
         for name, digest in SWEEP_DIGESTS.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
+    def test_rounding_sites_pinned(self, capsys, tmp_path, monkeypatch):
+        # Each ledger_context block is recorded, by the function that opened
+        # it, when its arithmetic set the Inexact flag: a new rounding site
+        # fails here.
+        sites = set()
+        ledger_context = core.ledger_context
+
+        @contextmanager
+        def recorded(site):
+            with ledger_context() as ctx:
+                yield ctx
+                if ctx.flags[Inexact]:
+                    sites.add(site)
+
+        def recording_context():
+            caller = sys._getframe(1)
+            module = caller.f_globals["__name__"].rsplit(".", 1)[-1]
+            return recorded(f"{module}.{caller.f_code.co_name}")
+
+        for module in (cli, core, market, protocol, sim):
+            monkeypatch.setattr(module, "ledger_context", recording_context)
+        code, _, _ = run_cli(
+            capsys, "simulate", "--config", str(FIXTURES / "config_sweep.json"),
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert sites == ROUNDING_SITES
+
     @pytest.mark.parametrize("case", list(OUTCOME_PATH_PINS))
     def test_outcome_path_pinned_digests(self, capsys, tmp_path, case):
         fixture, changes, digests = OUTCOME_PATH_PINS[case]
@@ -494,6 +534,29 @@ class TestSimulate:
                 id="count=100001",
             ),
             pytest.param(
+                ("events",),
+                {"synthetic": {"count": -1}},
+                ("events.synthetic", "count"),
+                id="count=-1",
+            ),
+            pytest.param(("schema_version",), 2, ("schema_version",), id="schema_version=2"),
+            pytest.param(
+                ("path",),
+                {"csv": "path_hand.csv", "gbm": GBM},
+                ("path", "'csv' or 'gbm'"),
+                id="path=both",
+            ),
+            pytest.param(("path",), {}, ("path", "'csv' or 'gbm'"), id="path=neither"),
+            pytest.param(
+                ("events",),
+                {"csv": "events_hand.csv", "synthetic": {"count": 1}},
+                ("events", "'csv' or 'synthetic'"),
+                id="events=both",
+            ),
+            pytest.param(
+                ("events",), {}, ("events", "'csv' or 'synthetic'"), id="events=neither"
+            ),
+            pytest.param(
                 ("path",), {"gbm": dict(GBM, seed=-1)}, ("path.gbm", "seed"), id="gbm.seed=-1"
             ),
         ],
@@ -513,6 +576,49 @@ class TestSimulate:
         assert code == 1
         assert all(name in err for name in names)
         assert not (tmp_path / "report.json").exists()
+
+    def test_malformed_json_names_config(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"schema_version": 1,')
+        code, _, err = run_cli(capsys, "simulate", "--config", str(bad), "--out", str(tmp_path))
+        assert code == 1
+        assert "config: malformed JSON" in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "synthetic, gbm, code, names",
+        [
+            # Both band ends underflow the float draw, which rounds to 0.
+            pytest.param({"hf_band": ["1e-900", "2e-900"]}, {}, 0, (), id="hf_band=1e-900"),
+            # 23 hourly steps end before the longest term, 24 h, matures.
+            pytest.param(
+                {}, {"steps": 23}, 1, ("events.synthetic", "path too short"), id="path=23h"
+            ),
+        ],
+    )
+    def test_synthetic_edge_exits_cleanly(self, capsys, tmp_path, synthetic, gbm, code, names):
+        config = json.loads((FIXTURES / "config_sweep.json").read_text())
+        config["events"]["synthetic"].update(synthetic, count=5)
+        config["path"]["gbm"].update(gbm)
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        got, _, err = run_cli(
+            capsys, "simulate", "--config", str(tmp_path / "config.json"),
+            "--out", str(tmp_path / "out"),
+        )
+        assert got == code
+        assert all(name in err for name in names)
+        assert "Traceback" not in err
+
+    def test_out_under_a_file_is_runtime_error(self, capsys, tmp_path):
+        (tmp_path / "file").write_text("")
+        code, out, err = run_cli(
+            capsys, "simulate", "--config", str(FIXTURES / "config_hand.json"),
+            "--out", str(tmp_path / "file" / "out"),
+        )
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_config_that_is_not_an_object_is_named(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -634,6 +740,7 @@ class TestAnalyze:
                 "outcomes.csv", "term_seconds", str(-(2**63) - 1), id="term_seconds=-2**63-1"
             ),
             pytest.param("events.csv", "path_offset", "9" * 400, id="path_offset=400-digits"),
+            pytest.param("events.csv", "path_offset", "-1", id="path_offset=-1"),
             pytest.param("path_hand.csv", "timestamp", "9" * 400, id="timestamp=400-digits"),
             pytest.param("outcomes.csv", "position_id", b"\xff", id="outcomes.csv=0xff"),
             pytest.param("events.csv", "position_id", b"\xff", id="events.csv=0xff"),

@@ -783,6 +783,37 @@ class TestSynthesizeEvents:
         with pytest.raises(ValueError):
             synthesize_events(path, "0.8", count=1, seed=0, hf_band=("0.9", "1.1"))
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            pytest.param({"count": -1}, id="count=-1"),
+            pytest.param({"hf_band": ("0.9",)}, id="hf_band-of-one"),
+            pytest.param({"hf_band": ("0.9", "0.95", "0.99")}, id="hf_band-of-three"),
+        ],
+    )
+    def test_argument_out_of_range_raises(self, changes):
+        path = PricePath.from_pairs([(i * HOUR, "100") for i in range(60)])
+        with pytest.raises(ValueError):
+            synthesize_events(path, "0.8", **{"count": 1, "seed": 0, **changes})
+
+    @pytest.mark.parametrize(
+        "band",
+        [
+            # Both ends underflow the float, so every draw rounds to 0.
+            pytest.param(("1e-900", "2e-900"), id="below-float-range"),
+            # Both ends round to the float 0.9, below the band's low end.
+            pytest.param(
+                ("0.90000000000000000001", "0.90000000000000000009"), id="narrower-than-float"
+            ),
+        ],
+    )
+    def test_trigger_health_factor_in_band(self, band):
+        path = PricePath.from_pairs([(i * HOUR, "100") for i in range(60)])
+        theta = Decimal("0.8")
+        lo, hi = (Fraction(v) for v in band)
+        for ev in synthesize_events(path, theta, count=200, seed=4, hf_band=band):
+            assert lo <= health_factor(ev.position, path[ev.path_offset].price, theta) < hi
+
 
 class TestDistSummaryMean:
     """The mean is bracketed with integer floors; it must equal the exact
