@@ -13,10 +13,11 @@ Replays liquidation events under three regimes:
 
 Events are processed in order and independently: no sale moves the pool or the path.
 `run_sweep` decides each fact once, at the stage it depends on: per sweep,
-per event (trigger liquidation, eligibility), per (event, term) (the gate's
-break-even factor, the maturity) or per cell (the session); one scenario
-is a one-cell sweep. Everything is a deterministic function of the scenario
-value, so identical inputs reproduce identical reports byte for byte.
+per premium factor (the (1+λ)·HF summary), per event (trigger liquidation,
+eligibility), per (event, term) (the gate's break-even factor, the
+maturity) or per cell (the session); one scenario is a one-cell sweep.
+Everything is a deterministic function of the scenario value, so
+identical inputs reproduce identical reports byte for byte.
 
 External formats owned here: the events CSV
 (`position_id,debt,collateral,borrow_rate,path_offset`), the per-event
@@ -34,7 +35,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from decimal import Decimal
+from decimal import MAX_PREC, Context, Decimal, Inexact, localcontext
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
@@ -55,7 +56,6 @@ from .core import (
     fsl_post_health_factor,
     health_factor,
     ledger_context,
-    quantize,
     read_csv,
     to_decimal,
     write_csv,
@@ -199,8 +199,7 @@ class DistSummary:
         n = len(finite)
 
         def _rank(q: Fraction) -> Fraction:
-            idx = max(0, math.ceil(q * n) - 1)
-            return finite[idx]
+            return finite[max(0, math.ceil(q * n) - 1)]
 
         # Each floor(v * 10**100) lies in (v * 10**100 - 1, v * 10**100], so
         # the exact mean lies in [S, S + n) / (n * 10**100). Rounding is
@@ -299,8 +298,8 @@ class MetricsReport:
 
 
 def _fraction_to_decimal(value: Fraction) -> Decimal:
-    with ledger_context():
-        return quantize(Decimal(value.numerator) / Decimal(value.denominator))
+    """The exact value rounded once, half-even, to the 18-digit report grid."""
+    return Decimal(f"{round(value * 10**18)}E-18")
 
 
 def _dec_or_none(value: Decimal | None) -> str | None:
@@ -308,11 +307,10 @@ def _dec_or_none(value: Decimal | None) -> str | None:
 
 
 def _sum(values: Iterable[Decimal]) -> Decimal:
-    total = Decimal(0)
-    with ledger_context():
-        for v in values:
-            total += v
-    return total
+    """The exact sum, which `dec_str` rounds once: `csv_decimal`'s exponent
+    bound keeps its digits few, and a sum that would round raises."""
+    with localcontext(Context(prec=MAX_PREC, traps=[Inexact])):
+        return sum(values, Decimal(0))
 
 
 def payoff_rows(rows: Iterable[OutcomeRow]) -> list[PayoffRow]:
@@ -340,10 +338,11 @@ def _payoff_row(
     counts = Counter(r.outcome_class for r in settled)
     payoffs = [Fraction(r.supporter_payoff) for r in settled]
     mean = statistics.mean(payoffs)
-    var = statistics.pvariance(payoffs, mean)
-    with ledger_context():
-        var_dec = Decimal(var.numerator) / Decimal(var.denominator)
-        std = var_dec.sqrt()
+    # With t = floor(2·std) on the grid, the std is t/2 or lies strictly between
+    # t/2 and the next half-step, and there it rounds as their midpoint does.
+    four_var = 4 * statistics.pvariance(payoffs, mean)
+    t = math.isqrt(math.floor(four_var * 10**36)) / Fraction(10**18)
+    std = t / 2 if t * t == four_var else t / 2 + Fraction(1, 4 * 10**18)
     return PayoffRow(
         premium_factor=premium_factor,
         term_seconds=term_seconds,
@@ -352,7 +351,7 @@ def _payoff_row(
         p_exercise_loss=_fraction_to_decimal(Fraction(counts[CLASS_EXERCISE_LOSS], n)),
         p_default=_fraction_to_decimal(Fraction(counts[CLASS_DEFAULT], n)),
         mean_payoff=_fraction_to_decimal(mean),
-        std_payoff=quantize(std),
+        std_payoff=_fraction_to_decimal(std),
     )
 
 
@@ -431,23 +430,19 @@ def _cell_report(
     results: list[OutcomeRow],
     lam: Decimal,
     term: int,
-    hf_pre: list[Fraction],
+    topped_up: tuple[DistSummary, Decimal],
     common: dict,
     table: list[PayoffRow],
 ) -> MetricsReport:
     """Fold one cell's outcome rows into its report. `common` holds the
     report fields that no cell changes: the regime, the health factors at
     the trigger and after a maximal liquidation there, and the release if
-    every event were liquidated at its trigger. `table` is the sweep's
+    every event were liquidated at its trigger. `topped_up` is the premium
+    factor's (1+λ)·HF summary and healthy share. `table` is the sweep's
     payoff table; the report holds the cell's own row of it."""
     release = _sum(r.release_usd for r in results)
-    baseline = common["fsl_baseline_release_usd"]
-    reduction: Decimal | None = None
-    if baseline > 0:
-        with ledger_context():
-            reduction = 1 - release / baseline
-    factor = 1 + Fraction(lam)
-    hf_post_miq = [hf * factor for hf in hf_pre]
+    baseline = Fraction(common["fsl_baseline_release_usd"])
+    reduction = _fraction_to_decimal(1 - Fraction(release) / baseline) if baseline else None
     return MetricsReport(
         **common,
         n_events=len(results),
@@ -455,8 +450,8 @@ def _cell_report(
         collateral_release_usd=release,
         collateral_restraint_usd=_sum(r.restraint_usd for r in results),
         release_reduction=reduction,
-        hf_post_miqado=DistSummary.from_values(hf_post_miq),
-        healthy_fraction_miqado=_healthy_share(hf_post_miq),
+        hf_post_miqado=topped_up[0],
+        healthy_fraction_miqado=topped_up[1],
         payoff_rows=[row for row in table if (row.premium_factor, row.term_seconds) == (lam, term)],
         price_declines=[r.price_decline for r in results if r.price_decline is not None],
         results=results,
@@ -595,10 +590,10 @@ def run_sweep(
     baseline and the outcome of any cell liquidated there) and, under
     fsl_only or outside the engagement window, the class of every cell.
     Per (event, term): the gate's break-even factor and the maturity. Per
-    cell: the session. Last, the rows fold into the sweep's payoff table
-    and each cell's report, which holds the cell's row of that table. The
-    sweep names its lowest-index failing event, in the first cell
-    (term-major) where it fails."""
+    cell: the session. Per premium factor: the (1+λ)·HF summary. Last, the
+    rows fold into the sweep's payoff table and each cell's report, which
+    holds the cell's row of that table. The sweep names its lowest-index
+    failing event, in the first cell (term-major) where it fails."""
     lambdas = [to_decimal(lam) for lam in premium_factors]
     check_sweep_axis(lambdas)
     check_sweep_axis(terms_seconds)
@@ -633,7 +628,12 @@ def run_sweep(
         hf_pre.append(hf)
         hf_post_fsl.append(hf_fsl)
         released.append(liquidation[0])
-    hf_pre.sort()  # every λ > 0, so each cell's (1+λ)·HF keeps this order
+    hf_pre.sort()  # every λ > 0, so each (1+λ)·HF keeps this order
+    topped_up: dict[Decimal, tuple[DistSummary, Decimal]] = {}
+    for lam in lambdas:
+        factor = 1 + Fraction(lam)
+        scaled = [hf * factor for hf in hf_pre]
+        topped_up[lam] = DistSummary.from_values(scaled), _healthy_share(scaled)
 
     common = dict(
         regime=s.regime,
@@ -645,7 +645,7 @@ def run_sweep(
     table = payoff_rows(rows)
     grid = [(lam, term) for term in terms_seconds for lam in lambdas]
     cells = [
-        (lam, term, _cell_report(rows[c :: len(grid)], lam, term, hf_pre, common, table))
+        (lam, term, _cell_report(rows[c :: len(grid)], lam, term, topped_up[lam], common, table))
         for c, (lam, term) in enumerate(grid)
     ]
     return SweepResult(regime=s.regime, cells=cells, payoff_rows=table)

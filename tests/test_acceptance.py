@@ -10,10 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
-import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.special import ndtri
 
 from miqado.cli import load_config, main
 from miqado.core import (
@@ -91,6 +88,9 @@ def test_2_case_study_amm_price_decline():
 
 
 def _mc_call(spot, strike, r, rf, sigma, term, n_pairs, seed):
+    import numpy as np
+    from scipy.special import ndtri
+
     rng = np.random.default_rng(np.random.PCG64(seed))
     u = rng.integers(1, 2**53, size=n_pairs).astype(np.float64) / 2**53
     z = ndtri(u)
@@ -105,6 +105,9 @@ def _mc_call(spot, strike, r, rf, sigma, term, n_pairs, seed):
 def test_3_pricing_oracle():
     """Closed-form call value within 0.5% of a seeded 10^6-path Monte-Carlo
     estimate on a 3x3x3 grid; normal CDF within 1e-7 of quadrature."""
+    import numpy as np
+    from scipy.integrate import quad
+
     worst = 0.0
     for i, moneyness in enumerate([0.9, 1.0, 1.1]):
         for j, sigma in enumerate([0.15, 0.25, 0.40]):

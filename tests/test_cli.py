@@ -91,13 +91,13 @@ OUTCOME_PATH_PINS = {
 }
 
 #: Every function whose ledger arithmetic rounds on config_sweep.json, as
-#: module.function: divisions, products of quotients, and the rounding of
-#: report values to the 18-digit grid.
+#: module.function: divisions, products of quotients, and `quantize`'s
+#: rounding of ledger values and exact totals to the 18-digit grid. Report
+#: statistics are exact and round once, outside any ledger context.
 ROUNDING_SITES = {
     "core._seizure", "core.execute_fsl", "core.fsl_post_health_factor", "core.quantize",
     "market.amm_swap_base_for_quote", "market.direct_price_decline",
-    "sim._cell_report", "sim._fraction_to_decimal", "sim._liquidate", "sim._payoff_row",
-    "sim._sum", "sim.synthesize_events",
+    "sim._liquidate", "sim.synthesize_events",
 }
 
 # Frozen Monte-Carlo oracle value for (100, 100, r=0.05, rf=0, sigma=0.2, T=1).

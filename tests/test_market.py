@@ -3,9 +3,7 @@
 import math
 from decimal import Decimal
 
-import numpy as np
 import pytest
-import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,11 +137,16 @@ class TestGbmDraws:
     def test_uniforms_equal_numpy(self, seed):
         # Seeds past 2**128 have more than four 32-bit words, which
         # SeedSequence mixes into the pool in a third loop.
+        import numpy as np
+
         n = 20_000
         expected = np.random.Generator(np.random.PCG64(seed)).integers(1, 2**53, n) / 2**53
         assert open_uniforms(seed, n) == expected.tolist()
 
     def test_ndtri_equals_scipy(self):
+        import numpy as np
+        import scipy.special
+
         rng = np.random.default_rng(2023)
         y = np.concatenate([
             rng.random(1_000_000),
@@ -165,6 +168,9 @@ class TestGbmDraws:
         [1 - math.exp(-2), math.exp(-2), math.exp(-32)],
     )
     def test_ndtri_equals_scipy_at_branch_boundaries(self, boundary):
+        import numpy as np
+        import scipy.special
+
         y = [boundary]
         for toward in (0.0, 1.0):
             v = boundary
@@ -174,6 +180,9 @@ class TestGbmDraws:
         assert [ndtri(v) for v in y] == scipy.special.ndtri(np.array(y)).tolist()
 
     def test_ndtri_edges_equal_scipy(self):
+        import numpy as np
+        import scipy.special
+
         y = [0.0, 1.0, 5e-324, 0.5, math.nextafter(1.0, 0.0)]
         assert [ndtri(v) for v in y] == scipy.special.ndtri(np.array(y)).tolist()
         outside = [-0.5, 1.5, math.nan]

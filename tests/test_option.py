@@ -13,12 +13,9 @@ density.
 import math
 from decimal import Decimal
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
-from scipy.special import ndtri
 
 from miqado.core import Amount, BorrowingPosition, Price, ledger_context
 from miqado.errors import InsufficientDataError, UnitMismatchError
@@ -47,6 +44,9 @@ MC_ATM_CALL = 10.452096058627289
 
 def mc_call_estimate(spot, strike, r, rf, sigma, term, n_pairs=500_000, seed=20240811):
     """Independent discounted-payoff estimate under risk-neutral GBM."""
+    import numpy as np
+    from scipy.special import ndtri
+
     rng = np.random.default_rng(np.random.PCG64(seed))
     u = rng.integers(1, 2**53, size=n_pairs).astype(np.float64) / 2**53
     z = ndtri(u)
@@ -180,6 +180,9 @@ class TestStdNormalCdf:
         assert abs(std_normal_cdf(3.0) - 0.9986501019683698) < 1e-9
 
     def test_quadrature_sweep(self):
+        import numpy as np
+        from scipy.integrate import quad
+
         pdf = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
         for x in np.linspace(-6, 6, 49):
             ref, _ = quad(pdf, -40.0, float(x), limit=400)

@@ -9,7 +9,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import replace
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,8 +24,10 @@ from miqado.market import CpAmmPool, GbmParams, PricePath, generate_gbm, load_pr
 from miqado.protocol import (
     MiqadoParams,
     SessionState,
+    can_initiate,
     initiate,
     settle_at_maturity,
+    supporter_decision,
     terminate,
 )
 from miqado.sim import (
@@ -34,7 +36,9 @@ from miqado.sim import (
     OutcomeRow,
     Regime,
     Scenario,
+    aggregate_outcome_rows,
     load_events_csv,
+    path_volatility,
     payoff_rows,
     report_to_json,
     run_scenario,
@@ -852,26 +856,29 @@ class TestDistSummaryMean:
         values = [Fraction(2 * k + 1, 2 * 10**18)] * n
         assert DistSummary.from_values(values).mean == self.exact_mean(values)
 
-    @pytest.mark.parametrize("numerator, expected", [(1, "0E-18"), (3, "2E-18")])
-    def test_explicit_ties_round_half_even(self, numerator, expected):
+    @pytest.mark.parametrize(
+        "numerator, expected, ends",
+        [(1, "0E-18", {"0E-18", "1E-18"}), (3, "2E-18", {"2E-18"})],
+        ids=["1-0E-18", "3-2E-18"],
+    )
+    def test_explicit_ties_round_half_even(self, numerator, expected, ends):
         # The mean sits exactly on a half-quantum tie and rounds half-even.
-        # The bracket's upper end lies 1e-100 above the tie, below the
-        # 80-digit precision at which the rounding first divides, so both
-        # ends already round like the exact mean.
+        # The bracket's upper end lies 1e-100 above the tie and rounds up,
+        # so 1/2 quantum falls back to the exact sum; 3/2 rounds up either way.
         values = [Fraction(numerator, 2 * 10**18)]
-        assert self.bracket_ends(values) == {Decimal(expected)}
+        assert self.bracket_ends(values) == {Decimal(e) for e in ends}
         assert str(DistSummary.from_values(values).mean) == expected
 
-    # An 80-digit half-step just below the report-grid tie 1.0...0015:
+    # The report-grid tie 1.0...0015, which rounds half-even to ...002:
     # means below it round to ...001, means at or above it to ...002.
-    STEP = Fraction(Decimal("1.0000000000000000015")) - Fraction(5, 10**80)
+    TIE = Fraction(Decimal("1.0000000000000000015"))
     UNIT = Fraction(1, 10**100)
 
     @pytest.mark.parametrize(
         "values, expected",
         [
-            ([STEP - UNIT / 10**20], "1.000000000000000001"),
-            ([STEP + UNIT * 6 / 10, STEP - UNIT * 4 / 10], "1.000000000000000002"),
+            ([TIE - UNIT / 10**20], "1.000000000000000001"),
+            ([TIE + UNIT * 6 / 10, TIE - UNIT * 4 / 10], "1.000000000000000002"),
         ],
     )
     def test_undecided_bracket_falls_back_to_exact_sum(self, values, expected):
@@ -887,6 +894,51 @@ class TestDistSummaryMean:
         assert summary.count == 3
         assert summary.infinite_count == 1
         assert summary.mean == Decimal("0.5")
+
+
+class TestRoundOnce:
+    """Every report statistic and total is exact and rounds once, half-even,
+    to the 18-digit grid: no intermediate rounding moves its last digit."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            Fraction(1, 2 * 10**18) + Fraction(1, 10**100),
+            Fraction(3, 2 * 10**18) - Fraction(1, 10**100),
+        ],
+    )
+    def test_near_half_quantum(self, value):
+        # An 80-digit quotient would land on the tie and round it to even.
+        assert str(_fraction_to_decimal(value)) == "1E-18"
+
+    def test_payoff_moments_near_half_quantum(self):
+        # Payoffs 0 and 3e-18 - 2e-100: the mean and the std are both
+        # 1.5e-18 - 1e-100, just below the tie.
+        near_three = f"{3 * 10**82 - 2}E-100"
+        settled = [outcome("exercise_loss", "0"), outcome("exercise_profit", near_three)]
+        (row,) = payoff_rows(settled)
+        assert (str(row.mean_payoff), str(row.std_payoff)) == ("1E-18", "1E-18")
+
+    def test_release_total_keeps_every_digit(self):
+        # 62 integer and 18 fractional digits: one more than the ledger's 80.
+        rows = [
+            replace(outcome("fsl"), release_usd=Decimal(v)) for v in ("1E+62", "4E-18")
+        ]
+        total = aggregate_outcome_rows(rows)["collateral_release_usd"]
+        assert total == "1" + "0" * 62 + ".000000000000000004"
+
+    @given(st.lists(st.integers(-(10**24), 10**24), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_std_matches_wide_sqrt(self, scaled):
+        # Payoffs on the 18-digit grid, as outcome rows hold them; a square
+        # root at 200 digits is far too close to rounding twice to matter.
+        payoffs = [Fraction(k, 10**18) for k in scaled]
+        (row,) = payoff_rows([outcome("exercise_profit", f"{k}E-18") for k in scaled])
+        mean = sum(payoffs, Fraction(0)) / len(payoffs)
+        var = sum(((p - mean) ** 2 for p in payoffs), Fraction(0)) / len(payoffs)
+        with localcontext(Context(prec=200)):
+            std = (Decimal(var.numerator) / Decimal(var.denominator)).sqrt()
+            assert row.std_payoff == std.quantize(Decimal("1E-18"))
 
 
 def gated_rescue_scenario(regime=Regime.HYBRID):
@@ -1121,3 +1173,134 @@ class TestRescuePriceBound:
             else:
                 klass = "default"
         assert (row.outcome_class, row.supporter_payoff) == (klass, outcome.supporter_payoff)
+
+
+#: The classes of an engaged cell, ranked in the order λ may step through.
+_RANK = {"default": 0, "exercise_profit": 1, "exercise_loss": 1, "terminated": 2}
+
+
+@st.composite
+def sweep_scenarios(draw):
+    """A small sweep: 1-6 events on a 240-step hourly GBM path, any regime,
+    the gate, the rescue and a pool each on or off, a buffer, and an
+    unsorted grid. With the gate on, the grid holds the first eligible
+    event's break-even factor of the first term, so a cell sits on the tie."""
+    sigma = draw(st.sampled_from([0.5, 2.0, 8.0]))
+    path = generate_gbm(
+        GbmParams(
+            p0=Price(Decimal(100)), mu=0.0, sigma=sigma, dt=1 / 8760, steps=240,
+            seed=draw(st.integers(0, 2**32)),
+        )
+    )
+    terms = draw(st.lists(st.sampled_from([1, 6, 24]), min_size=1, max_size=3, unique=True))
+    terms = [h * HOUR for h in terms]
+    events = synthesize_events(
+        path, FSL.theta, count=draw(st.integers(1, 6)), seed=draw(st.integers(0, 2**32)),
+        hf_band=draw(st.sampled_from([("0.9", "0.9999"), ("0.5", "0.9999")])),
+        max_term_seconds=max(terms),
+    )
+    pool = CpAmmPool(
+        reserve_quote=Decimal("10000000"), reserve_base=Decimal("100000"), fee=Decimal("0.003")
+    )
+    s = Scenario(
+        events=events,
+        path=path,
+        fsl=FSL,
+        miqado=miq(
+            buffer=draw(st.sampled_from([Decimal(0), Decimal("0.1")])),
+            rescue_above_hf=draw(st.integers(900, 1200).map(_milli) | st.none()),
+        ),
+        regime=draw(st.sampled_from([Regime.HYBRID, Regime.MIQADO_ONLY, Regime.FSL_ONLY])),
+        pool=draw(st.sampled_from([None, pool])),
+        supporter_gate=draw(st.booleans()),
+    )
+    lambdas = draw(st.lists(st.integers(1, 500).map(_milli), min_size=1, max_size=4, unique=True))
+    for ev in events if s.supporter_gate else []:
+        p0 = path[ev.path_offset].price
+        if can_initiate(ev.position, p0, FSL.theta, s.miqado):
+            lam_star = supporter_decision(ev.position, p0, terms[0], path_volatility(path))
+            tie = Decimal(repr(lam_star))
+            if tie > 0 and tie not in lambdas:
+                lambdas.insert(draw(st.integers(0, len(lambdas))), tie)
+            break
+    return s, lambdas, terms
+
+
+class TestSweepOrder:
+    """Per (event, term), with the premium factor ascending: the engaged
+    cells are a prefix, the class never steps down (default < exercise <
+    terminated), each step at its own threshold in λ, and a session
+    restrains exactly λ·C·p0. Across events, permuting the events permutes
+    the rows and leaves every cell's figures unchanged."""
+
+    @given(case=sweep_scenarios())
+    @settings(max_examples=100, deadline=None)
+    def test_each_class_step_is_a_threshold_in_lambda(self, case):
+        s, lambdas, terms = case
+        result = run_sweep(s, lambdas, terms)
+        params = s.miqado
+        if s.regime is Regime.MIQADO_ONLY:  # its window is the liquidation threshold
+            params = replace(params, buffer=Decimal(0))
+        sigma = path_volatility(s.path) if s.supporter_gate else 0.0
+        h = s.miqado.rescue_above_hf
+        for idx, ev in enumerate(s.events):
+            start = s.path[ev.path_offset]
+            coll, debt = Fraction(ev.position.collateral.value), Fraction(ev.position.debt.value)
+            eligible = can_initiate(ev.position, start.price, FSL.theta, params)
+            for term in terms:
+                cells = sorted(
+                    (lam, report.results[idx])
+                    for lam, cell_term, report in result.cells
+                    if cell_term == term
+                )
+                klasses = [row.outcome_class for _, row in cells]
+                if s.regime is Regime.FSL_ONLY or not eligible:
+                    assert set(klasses) == {"fsl" if s.regime is Regime.FSL_ONLY else "ineligible"}
+                    continue
+                lam_star = math.inf
+                if s.supporter_gate:
+                    lam_star = supporter_decision(ev.position, start.price, term, sigma)
+                engaged = [k in _RANK for k in klasses]
+                assert engaged == [float(lam) <= lam_star for lam, _ in cells]
+                assert engaged == sorted(engaged, reverse=True)
+                ranks = [_RANK[k] for k in klasses if k in _RANK]
+                assert ranks == sorted(ranks)
+
+                # Rescue iff (1+λ)·HF reaches h strictly between initiation
+                # and maturity; else exercise iff (1+λ)·C·p_T covers the debt.
+                maturity_idx = s.path.index_at_or_after(start.timestamp + term)
+                window = s.path.points[ev.path_offset + 1 : maturity_idx]
+                hfs = [health_factor(ev.position, pt.price, FSL.theta) for pt in window]
+                peak = max(hfs, default=None)
+                p_t = Fraction(s.path[maturity_idx].price.value)
+                for lam, row in cells:
+                    if row.outcome_class not in _RANK:
+                        assert row.restraint_usd == 0
+                        continue
+                    factor = 1 + Fraction(lam)
+                    if h is not None and peak is not None and factor * peak >= h:
+                        expected = {"terminated"}
+                    elif factor * coll * p_t >= debt:
+                        expected = {"exercise_profit", "exercise_loss"}
+                    else:
+                        expected = {"default"}
+                    assert row.outcome_class in expected
+                    premium = Fraction(lam) * coll * Fraction(start.price.value)
+                    assert Fraction(row.restraint_usd) == premium
+
+    @given(case=sweep_scenarios(), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_permuting_events_permutes_rows(self, case, data):
+        s, lambdas, terms = case
+        result = run_sweep(s, lambdas, terms)
+        order = data.draw(st.permutations(range(len(s.events))))
+        permuted = run_sweep(replace(s, events=[s.events[i] for i in order]), lambdas, terms)
+        assert permuted.payoff_rows == result.payoff_rows
+        for (_, _, report), (_, _, moved) in zip(result.cells, permuted.cells):
+            assert [replace(r, event_index=order[r.event_index]) for r in moved.results] == [
+                report.results[i] for i in order
+            ]
+            # Only the order of the price declines may move.
+            got, want = moved.to_json_dict(), report.to_json_dict()
+            assert sorted(got.pop("price_declines")) == sorted(want.pop("price_declines"))
+            assert got == want
