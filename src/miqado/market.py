@@ -89,6 +89,23 @@ class PricePath:
         """Every point's price value, built once per path."""
         return tuple(pt.price.value for pt in self.points)
 
+    @functools.cached_property
+    def next_higher(self) -> tuple[int, ...]:
+        """For every index, the index of the next point with a strictly
+        higher price, or the path's length if none follows; built once per
+        path in one stack pass. Following it from i visits the record
+        highs of the path from i on: every point that exceeds all the
+        points from i before it."""
+        prices = self.prices
+        n = len(prices)
+        nxt = [n] * n
+        waiting: list[int] = []  # indices with no higher point yet, prices non-increasing
+        for j, p in enumerate(prices):
+            while waiting and prices[waiting[-1]] < p:
+                nxt[waiting.pop()] = j
+            waiting.append(j)
+        return tuple(nxt)
+
     def index_at_or_after(self, timestamp: int) -> int:
         """Index of the first point with timestamp >= the argument."""
         stamps = self.timestamps

@@ -12,10 +12,12 @@ Replays liquidation events under three regimes:
   never attract support) fall through to fixed-spread liquidation.
 
 Events are processed in order and independently: no sale moves the pool or the path.
-`run_sweep` decides each fact once, at the stage it depends on: per sweep,
-per premium factor (the (1+λ)·HF summary), per event (trigger liquidation,
-eligibility), per (event, term) (the gate's break-even factor, the
-maturity) or per cell (the session); one scenario is a one-cell sweep.
+`run_sweep` decides each fact once, at the stage it depends on: per path
+(the record-high index), per sweep, per premium factor (the (1+λ)·HF
+summary), per event (trigger liquidation, eligibility), per (event, term)
+(the gate's break-even factor, the maturity, the record highs before it)
+or per cell (the session, the rescue's price bound); one scenario is a
+one-cell sweep.
 Everything is a deterministic function of the scenario value, so
 identical inputs reproduce identical reports byte for byte.
 
@@ -38,7 +40,6 @@ from dataclasses import dataclass, field, replace
 from decimal import MAX_PREC, Context, Decimal, Inexact, localcontext
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
@@ -493,17 +494,18 @@ def _run_term(
     at_trigger: Released,
 ) -> list[OutcomeRow]:
     """Replay one eligible event in one term's cells, one row per premium
-    factor. The gate's break-even factor, the maturity and the path's
-    running peaks are found once, the last two only if some cell engages;
-    a declined cell releases what the regime does at the trigger. The
+    factor. The gate's break-even factor, the maturity and the record highs
+    before it are found once, the last two only if some cell engages; a
+    declined cell releases what the regime does at the trigger. The
     borrower rescues at the first point after initiation and before
-    maturity where the topped-up health factor, which rises with the
-    price, reaches `rescue_above_hf`: a bisection over the peaks."""
+    maturity where the topped-up health factor C'·p·θ/D reaches
+    `rescue_above_hf` h, i.e. where p ≥ h·D/(C'·θ). That point exceeds
+    every one before it, so each cell bisects the record highs' prices for
+    its one exact bound."""
     point = s.path[ev.path_offset]
     p0, t0 = point.price, point.timestamp
     theta = s.fsl.theta
     h = s.miqado.rescue_above_hf
-    start = ev.path_offset + 1
     lam_star = math.inf
     if s.supporter_gate:
         lam_star = supporter_decision(ev.position, p0, term, sigma, s.foreign_rate)
@@ -512,17 +514,33 @@ def _run_term(
         return [_row(idx, ev, lam, term, CLASS_DECLINED, at_trigger) for lam in lambdas]
     maturity_idx = s.path.index_at_or_after(t0 + term)
     maturity = s.path[maturity_idx]
-    peaks = [] if h is None else list(accumulate(s.path.prices[start:maturity_idx], max))
+    if h is not None:
+        records = []
+        next_higher = s.path.next_higher
+        i = ev.path_offset + 1
+        while i < maturity_idx:
+            records.append(i)
+            i = next_higher[i]
+        record_prices = [s.path.prices[i] for i in records]
+        h_debt_per_theta = Fraction(h) * Fraction(ev.position.debt.value) / Fraction(theta)
+
+    def rescue_index(pos: BorrowingPosition) -> int | None:
+        """The first record high where the topped-up health factor reaches h."""
+        collateral = pos.collateral.value
+        if collateral:  # Decimal < Fraction compares exactly
+            k = bisect_left(record_prices, h_debt_per_theta / Fraction(collateral))
+        else:  # the health factor is zero at every price
+            k = 0 if h <= 0 else len(records)
+        return records[k] if k < len(records) else None
 
     def session_row(lam: Decimal) -> OutcomeRow:
         pos = copy.copy(ev.position)
         session = initiate(pos, p0, theta, s.miqado, lam, term, t0)
-        if h is not None:
-            i = start + bisect_left(peaks, h, key=lambda v: health_factor(pos, Price(v), theta))
-            if i < maturity_idx:
-                pt = s.path[i]
-                outcome = terminate(session, pos, pt.price, pt.timestamp, s.miqado)
-                return _row(idx, ev, lam, term, CLASS_TERMINATED, settlement=outcome)
+        i = None if h is None else rescue_index(pos)
+        if i is not None:
+            pt = s.path[i]
+            outcome = terminate(session, pos, pt.price, pt.timestamp, s.miqado)
+            return _row(idx, ev, lam, term, CLASS_TERMINATED, settlement=outcome)
         outcome = settle_at_maturity(session, pos, maturity.price, maturity.timestamp)
         if outcome.state is SessionState.EXERCISED:
             klass = CLASS_EXERCISE_PROFIT if outcome.supporter_payoff > 0 else CLASS_EXERCISE_LOSS
@@ -589,10 +607,11 @@ def run_sweep(
     event, in order: the trigger check, the trigger liquidation (the FSL
     baseline and the outcome of any cell liquidated there) and, under
     fsl_only or outside the engagement window, the class of every cell.
-    Per (event, term): the gate's break-even factor and the maturity. Per
-    cell: the session. Per premium factor: the (1+λ)·HF summary. Last, the
-    rows fold into the sweep's payoff table and each cell's report, which
-    holds the cell's row of that table. The sweep names its lowest-index
+    Per (event, term): the gate's break-even factor, the maturity and the
+    record highs before it. Per cell: the session and the rescue's price
+    bound. Per premium factor: the (1+λ)·HF summary. Last, the rows fold
+    into the sweep's payoff table and each cell's report, which holds the
+    cell's row of that table. The sweep names its lowest-index
     failing event, in the first cell (term-major) where it fails."""
     lambdas = [to_decimal(lam) for lam in premium_factors]
     check_sweep_axis(lambdas)

@@ -77,6 +77,21 @@ OUTCOME_PATH_PINS = {
             "outcomes.csv": "72bd6c66bb85fb05260adb976751f4bc06a9d0d942b9ff32f7d68777bc053db9",
         },
     ),
+    # A 4,320-step one-minute path: 405 terminated, 211 exercise_profit,
+    # 13 exercise_loss, 31 default and 90 declined rows.
+    "hybrid-gated-rescue-longpath": (
+        "config_sweep.json",
+        {"supporter_gate": True,
+         "miqado": {"k_re": "0.5", "buffer": "0", "rescue_above_hf": "1.1"},
+         "path": {"gbm": {"p0": "100", "mu": 0.0, "sigma": 8.0, "dt_years": 1 / 525600,
+                          "steps": 4320}}},
+        {
+            "report.json": "5217d7750326ff7bfda8bc354410b19ae74733a6d410e5427839508c2407bd37",
+            "payoff_table.csv": "c015f5893f52f51ca56e899c1745cb8a7d5f9c3fbabb83d3bfd7ab3ab7db2c8e",
+            "metrics.csv": "dbe43acc21ecc985100d853b55cd08e07f18ecbe376c209b1cff0e348a4d5c60",
+            "outcomes.csv": "44d1bc4e3022c3c394c2483bf7e98f1cec5b6fa2b586b8198240553d25afb598",
+        },
+    ),
     # CSV events with a pool: the default liquidated at maturity records a decline.
     "hand-csv-pool": (
         "config_hand.json",

@@ -72,6 +72,38 @@ class TestPriceCsv:
             path.index_at_or_after(121)
 
 
+def _path(*prices):
+    return PricePath.from_pairs([(60 * i, p) for i, p in enumerate(prices)])
+
+
+class TestNextHigher:
+    """`PricePath.next_higher[i]` is the first later index with a strictly
+    higher price, or the path's length."""
+
+    def test_plateau_is_not_higher(self):
+        path = _path("1", "2", "2", "2", "3", "3")
+        assert path.next_higher == (1, 4, 4, 4, 6, 6)
+
+    def test_strictly_rising_every_index_a_record(self):
+        assert _path("1", "1.5", "2", "7").next_higher == (1, 2, 3, 4)
+
+    def test_strictly_falling_no_record_after_first(self):
+        assert _path("7", "2", "1.5", "1").next_higher == (4, 4, 4, 4)
+
+    def test_one_point(self):
+        assert _path("5").next_higher == (1,)
+
+    def test_equal_decimals_with_other_exponents_are_equal(self):
+        assert _path("1.25", "1.250", "1.2500", "1.26").next_higher == (3, 3, 3, 4)
+
+    @given(prices=st.lists(st.integers(1, 4), min_size=1, max_size=30))
+    def test_matches_linear_scan(self, prices):
+        nxt = _path(*prices).next_higher
+        n = len(prices)
+        for i, p in enumerate(prices):
+            assert nxt[i] == next((j for j in range(i + 1, n) if prices[j] > p), n)
+
+
 class TestGbm:
     def test_zero_vol_closed_form(self):
         params = GbmParams(p0=Price(Decimal(100)), mu=0.5, sigma=0.0, dt=0.01, steps=200, seed=1)

@@ -1069,27 +1069,44 @@ def _milli(k: int) -> Decimal:
 
 @st.composite
 def rescue_cases(draw):
-    """A non-monotone hourly path with 3-decimal prices, an eligible event
-    on it whose maturity lands on the path, a cell and a rescue threshold."""
+    """A non-monotone hourly path with 3-decimal prices, drawn either from
+    a wide range or from a few values so that plateaus and repeated
+    records occur; an eligible event on it; 1-3 premium factors and 1-3
+    terms whose maturities land on the path, so a shorter term cuts the
+    records a longer one sees; and a rescue threshold. Half the time the
+    threshold is exactly the topped-up health factor at some path price
+    under one of the premium factors."""
     n = draw(st.integers(3, 16))
-    prices = draw(st.lists(st.integers(500, 1500), min_size=n, max_size=n))
+    price = draw(st.sampled_from([st.integers(500, 1500), st.sampled_from([800, 1000, 1250])]))
+    prices = draw(st.lists(price, min_size=n, max_size=n))
     path = PricePath.from_pairs([(i * HOUR, _milli(k)) for i, k in enumerate(prices)])
     offset = draw(st.integers(0, n - 3))
-    term_hours = n - 1 - offset - draw(st.integers(0, n - 2 - offset))  # mostly long
+    term_hours = st.integers(1, n - 1 - offset)
+    terms = draw(st.lists(term_hours, min_size=1, max_size=3, unique=True))
+    lam = st.sampled_from(["0.01", "0.1", "0.5"]).map(Decimal)
+    lams = draw(st.lists(lam, min_size=1, max_size=3, unique=True))
     collateral = Decimal(draw(st.integers(0, 200)))
-    # Debt above the discounted collateral value: HF < 1 at the trigger.
-    debt = collateral * _milli(prices[offset]) * FSL.theta + draw(st.integers(1, 100))
+    if draw(st.booleans()):
+        # Debt above the discounted collateral value: HF < 1 at the trigger.
+        debt = collateral * _milli(prices[offset]) * FSL.theta + draw(st.integers(1, 100))
+        threshold = _milli(draw(st.integers(0, 2000)))
+    else:
+        # A debt of the form 2^a·5^b makes every health factor a finite
+        # decimal; above 200 · 1.5 · 0.8, it keeps HF < 1 at the trigger.
+        debt = Decimal(draw(st.sampled_from([250, 256, 400, 500, 512, 1000])))
+        topped_up = pos(debt, collateral * (1 + draw(st.sampled_from(lams))))
+        hf = health_factor(topped_up, Price(_milli(draw(st.sampled_from(prices)))), FSL.theta)
+        threshold = Decimal(hf.numerator) / hf.denominator
+        assert threshold == hf
     event = LiquidationEvent(position=pos(debt, collateral), path_offset=offset)
-    lam = draw(st.sampled_from(["0.01", "0.1", "0.5"]))
-    threshold = _milli(draw(st.integers(0, 2000)))
-    return path, event, Decimal(lam), term_hours * HOUR, threshold
+    return path, event, lams, [h * HOUR for h in terms], threshold
 
 
 class TestRescuePriceBound:
     """The borrower rescues at the first point where the topped-up health
-    factor reaches the threshold. The engine bisects the path's running
-    peaks for it; the boundary must stay `>=`, and on any path the point
-    must be the one a step-by-step replay finds."""
+    factor reaches the threshold. The engine bisects the path's record
+    highs for that price bound; the boundary must stay `>=`, and on any
+    path the point must be the one a step-by-step replay finds."""
 
     # Event A topped up by 10%: HF(p) = 143 * p * 0.8 / 100 = 1.144 * p,
     # so at p = 1.25 (index 3) the topped-up HF is exactly 1.43.
@@ -1142,7 +1159,7 @@ class TestRescuePriceBound:
     @given(case=rescue_cases())
     @settings(max_examples=300, deadline=None)
     def test_matches_step_by_step_reference(self, case):
-        path, event, lam, term, h = case
+        path, event, lams, terms, h = case
         params = miq(rescue_above_hf=h)
         s = Scenario(
             events=[event],
@@ -1152,27 +1169,59 @@ class TestRescuePriceBound:
             regime=Regime.MIQADO_ONLY,
             supporter_gate=False,
         )
-        row = run_scenario(s, lam, term).results[0]
+        for lam, term, report in run_sweep(s, lams, terms).cells:
+            row = report.results[0]
 
-        # Reference: test the topped-up health factor at every point
-        # between initiation and maturity, then terminate or settle.
-        position = copy.copy(event.position)
-        start = path[event.path_offset]
-        session = initiate(position, start.price, FSL.theta, params, lam, term, start.timestamp)
-        maturity_idx = path.index_at_or_after(start.timestamp + term)
-        for pt in path.points[event.path_offset + 1 : maturity_idx]:
-            if health_factor(position, pt.price, FSL.theta) >= h:
-                outcome = terminate(session, position, pt.price, pt.timestamp, params)
-                klass = "terminated"
-                break
-        else:
-            end = path[maturity_idx]
-            outcome = settle_at_maturity(session, position, end.price, end.timestamp)
-            if outcome.state is SessionState.EXERCISED:
-                klass = "exercise_profit" if outcome.supporter_payoff > 0 else "exercise_loss"
+            # Reference: test the topped-up health factor at every point
+            # between initiation and maturity, then terminate or settle.
+            position = copy.copy(event.position)
+            start = path[event.path_offset]
+            session = initiate(position, start.price, FSL.theta, params, lam, term, start.timestamp)
+            maturity_idx = path.index_at_or_after(start.timestamp + term)
+            for pt in path.points[event.path_offset + 1 : maturity_idx]:
+                if health_factor(position, pt.price, FSL.theta) >= h:
+                    outcome = terminate(session, position, pt.price, pt.timestamp, params)
+                    klass = "terminated"
+                    break
             else:
-                klass = "default"
-        assert (row.outcome_class, row.supporter_payoff) == (klass, outcome.supporter_payoff)
+                end = path[maturity_idx]
+                outcome = settle_at_maturity(session, position, end.price, end.timestamp)
+                if outcome.state is SessionState.EXERCISED:
+                    klass = "exercise_profit" if outcome.supporter_payoff > 0 else "exercise_loss"
+                else:
+                    klass = "default"
+            assert (row.outcome_class, row.supporter_payoff) == (klass, outcome.supporter_payoff)
+
+    @pytest.mark.parametrize("steps", [240, 2880])
+    @pytest.mark.parametrize("lambdas", [["0.1"], ["0.01", "0.02", "0.05", "0.10", "0.20"]])
+    def test_one_health_factor_per_event(self, monkeypatch, steps, lambdas):
+        # The rescue compares prices with one bound per cell, so the sweep
+        # evaluates a health factor only at each event's trigger, however
+        # long the path and however many premium factors.
+        path = generate_gbm(
+            GbmParams(p0=Price(Decimal(100)), mu=0.0, sigma=8.0, dt=1 / 525600, steps=steps, seed=7)
+        )
+        terms = [HOUR, 2 * HOUR]
+        events = synthesize_events(path, FSL.theta, count=12, seed=3, max_term_seconds=max(terms))
+        s = Scenario(
+            events=events,
+            path=path,
+            fsl=FSL,
+            miqado=miq(rescue_above_hf=Decimal("1.05")),
+            regime=Regime.HYBRID,
+            supporter_gate=False,
+        )
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return health_factor(*args)
+
+        monkeypatch.setattr("miqado.sim.health_factor", counted)
+        sweep = run_sweep(s, lambdas, terms)
+        assert calls == len(events)
+        assert any(report.class_counts.get("terminated") for _, _, report in sweep.cells)
 
 
 #: The classes of an engaged cell, ranked in the order λ may step through.
