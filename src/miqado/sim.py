@@ -32,7 +32,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-import statistics
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from contextlib import contextmanager
@@ -318,7 +317,8 @@ def payoff_rows(rows: Iterable[OutcomeRow]) -> list[PayoffRow]:
     """The payoff table of a set of outcome rows: one row per (premium
     factor, term) cell in which some event settled at maturity, ordered
     by term, then premium factor. Terminated sessions and events without
-    a session belong to no maturity class and count in no row."""
+    a session belong to no maturity class and count in no row. Rows may
+    come in any order; each cell folds its payoffs exactly (`_payoff_row`)."""
     groups: dict[tuple[int, Decimal], list[OutcomeRow]] = {}
     for r in rows:
         if r.outcome_class in _MATURITY_CLASSES:
@@ -333,15 +333,21 @@ def _payoff_row(
 
     Probabilities are exact fractions of the row size, and the payoff
     spread is the population standard deviation so single-event rows are
-    well defined.
+    well defined. Each payoff is a Decimal, so its denominator divides a
+    power of ten, and the lcm L of the cell's denominators is an exact
+    common scale: with x = payoff·L an integer, S = Σx and Q = Σx², the
+    mean is S/(n·L) and the variance (n·Q − S²)/(n·L)², both exact.
     """
     n = len(settled)
     counts = Counter(r.outcome_class for r in settled)
-    payoffs = [Fraction(r.supporter_payoff) for r in settled]
-    mean = statistics.mean(payoffs)
+    ratios = [r.supporter_payoff.as_integer_ratio() for r in settled]
+    scale = math.lcm(*(den for _, den in ratios))
+    scaled = [num * (scale // den) for num, den in ratios]
+    total = sum(scaled)
+    mean = Fraction(total, n * scale)
     # With t = floor(2·std) on the grid, the std is t/2 or lies strictly between
     # t/2 and the next half-step, and there it rounds as their midpoint does.
-    four_var = 4 * statistics.pvariance(payoffs, mean)
+    four_var = Fraction(4 * (n * sum(x * x for x in scaled) - total * total), (n * scale) ** 2)
     t = math.isqrt(math.floor(four_var * 10**36)) / Fraction(10**18)
     std = t / 2 if t * t == four_var else t / 2 + Fraction(1, 4 * 10**18)
     return PayoffRow(
@@ -429,18 +435,17 @@ def _healthy_share(values: Sequence[Fraction | float]) -> Decimal:
 
 def _cell_report(
     results: list[OutcomeRow],
-    lam: Decimal,
-    term: int,
     topped_up: tuple[DistSummary, Decimal],
     common: dict,
-    table: list[PayoffRow],
+    payoff_row: PayoffRow | None,
 ) -> MetricsReport:
     """Fold one cell's outcome rows into its report. `common` holds the
     report fields that no cell changes: the regime, the health factors at
     the trigger and after a maximal liquidation there, and the release if
     every event were liquidated at its trigger. `topped_up` is the premium
-    factor's (1+λ)·HF summary and healthy share. `table` is the sweep's
-    payoff table; the report holds the cell's own row of it."""
+    factor's (1+λ)·HF summary and healthy share. `payoff_row` is the
+    cell's own row of the sweep's payoff table, None if no event settled
+    at maturity there."""
     release = _sum(r.release_usd for r in results)
     baseline = Fraction(common["fsl_baseline_release_usd"])
     reduction = _fraction_to_decimal(1 - Fraction(release) / baseline) if baseline else None
@@ -453,7 +458,7 @@ def _cell_report(
         release_reduction=reduction,
         hf_post_miqado=topped_up[0],
         healthy_fraction_miqado=topped_up[1],
-        payoff_rows=[row for row in table if (row.premium_factor, row.term_seconds) == (lam, term)],
+        payoff_rows=[] if payoff_row is None else [payoff_row],
         price_declines=[r.price_decline for r in results if r.price_decline is not None],
         results=results,
     )
@@ -662,11 +667,12 @@ def run_sweep(
         healthy_fraction_fsl=_healthy_share(hf_post_fsl),
     )
     table = payoff_rows(rows)
+    by_cell = {(row.premium_factor, row.term_seconds): row for row in table}
     grid = [(lam, term) for term in terms_seconds for lam in lambdas]
-    cells = [
-        (lam, term, _cell_report(rows[c :: len(grid)], lam, term, topped_up[lam], common, table))
-        for c, (lam, term) in enumerate(grid)
-    ]
+    cells = []
+    for c, (lam, term) in enumerate(grid):
+        cell = _cell_report(rows[c :: len(grid)], topped_up[lam], common, by_cell.get((lam, term)))
+        cells.append((lam, term, cell))
     return SweepResult(regime=s.regime, cells=cells, payoff_rows=table)
 
 

@@ -7,8 +7,10 @@ out by hand from the mechanism definitions before the engine ran them.
 import copy
 import json
 import math
+import random
+import statistics
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miqado.cli import load_config
-from miqado.core import Amount, BorrowingPosition, FslParams, Price, health_factor
+from miqado.core import Amount, BorrowingPosition, FslParams, Price, csv_decimal, health_factor
 from miqado.errors import CsvFormatError, InsufficientDataError, ScenarioError
 from miqado.market import CpAmmPool, GbmParams, PricePath, generate_gbm, load_price_csv
 from miqado.protocol import (
@@ -34,10 +36,12 @@ from miqado.sim import (
     DistSummary,
     LiquidationEvent,
     OutcomeRow,
+    PayoffRow,
     Regime,
     Scenario,
     aggregate_outcome_rows,
     load_events_csv,
+    load_outcomes_csv,
     path_volatility,
     payoff_rows,
     report_to_json,
@@ -45,6 +49,7 @@ from miqado.sim import (
     run_sweep,
     _fraction_to_decimal,
     serialize_events_csv,
+    serialize_outcomes_csv,
     synthesize_events,
 )
 
@@ -939,6 +944,122 @@ class TestRoundOnce:
         with localcontext(Context(prec=200)):
             std = (Decimal(var.numerator) / Decimal(var.denominator)).sqrt()
             assert row.std_payoff == std.quantize(Decimal("1E-18"))
+
+
+def oracle_payoff_rows(rows):
+    """The payoff table folded as `statistics` folds it: the exact mean and
+    population variance of each cell's payoffs as Fractions, then the same
+    rounding as `payoff_rows`."""
+    groups = {}
+    for r in rows:
+        if r.outcome_class in ("exercise_profit", "exercise_loss", "default"):
+            groups.setdefault((r.term_seconds, r.premium_factor), []).append(r)
+    table = []
+    for (term, lam), settled in sorted(groups.items()):
+        n = len(settled)
+        counts = Counter(r.outcome_class for r in settled)
+        payoffs = [Fraction(r.supporter_payoff) for r in settled]
+        mean = statistics.mean(payoffs)
+        four_var = 4 * statistics.pvariance(payoffs, mean)
+        t = math.isqrt(math.floor(four_var * 10**36)) / Fraction(10**18)
+        std = t / 2 if t * t == four_var else t / 2 + Fraction(1, 4 * 10**18)
+        table.append(
+            PayoffRow(
+                premium_factor=lam,
+                term_seconds=term,
+                n=n,
+                p_exercise_profit=_fraction_to_decimal(Fraction(counts["exercise_profit"], n)),
+                p_exercise_loss=_fraction_to_decimal(Fraction(counts["exercise_loss"], n)),
+                p_default=_fraction_to_decimal(Fraction(counts["default"], n)),
+                mean_payoff=_fraction_to_decimal(mean),
+                std_payoff=_fraction_to_decimal(std),
+            )
+        )
+    return table
+
+
+def payoff_table_cells(table):
+    """Each row as the strings payoff_table.csv writes, so a sign or an
+    exponent that equality of Decimals ignores still shows."""
+    return [tuple(map(str, astuple(row))) for row in table]
+
+
+@st.composite
+def payoffs(draw):
+    """A supporter payoff as outcomes.csv can hold it: up to 80 significant
+    digits of either sign, of order of magnitude within `csv_decimal`'s
+    ±1000, ledger-sized values on the 18-digit grid among them, and zeros."""
+    kind = draw(st.sampled_from(["wide", "ledger", "grid", "zero"]))
+    if kind == "zero":
+        return Decimal(draw(st.sampled_from(["0", "-0E-18", "0E+5"])))
+    sign = draw(st.sampled_from(["", "-"]))
+    mantissa = draw(st.integers(1, 10**80 - 1))
+    if kind == "wide":
+        exponent = draw(st.integers(-1000, 1000)) - (len(str(mantissa)) - 1)
+    elif kind == "ledger":
+        exponent = draw(st.integers(-78, -60))
+    else:
+        mantissa %= 10**24
+        exponent = -18
+    return csv_decimal(f"{sign}{mantissa}E{exponent}")
+
+
+@st.composite
+def payoff_cells(draw):
+    """Outcome rows of 1-4 interleaved (λ, term) cells in shuffled order, as
+    `analyze` reads them in file order. A cell holds 1-8 settled rows, all
+    equal in some cells, and rows of classes that settle at no maturity."""
+    cells = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["0.01", "0.05", "0.2"]), st.sampled_from([HOUR, 6 * HOUR])),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    rows = []
+    for lam, term in cells:
+        settled = draw(st.lists(payoffs(), min_size=1, max_size=8))
+        if draw(st.booleans()):
+            settled = [settled[0]] * len(settled)
+        for payoff in settled:
+            klass = draw(st.sampled_from(["exercise_profit", "exercise_loss", "default"]))
+            rows.append(outcome(klass, str(payoff), lam=lam, term=term))
+        for klass in draw(st.lists(st.sampled_from(["terminated", "declined", "fsl"]), max_size=2)):
+            rows.append(outcome(klass, "1" if klass == "terminated" else None, lam=lam, term=term))
+    random.Random(draw(st.integers(0, 2**32))).shuffle(rows)
+    return rows
+
+
+class TestPayoffFold:
+    """Each cell's payoff mean and std are exact integer sums at the cell's
+    common decimal scale: the table equals the Fraction fold of
+    `statistics`, byte for byte, for every payoff outcomes.csv can hold."""
+
+    @given(rows=payoff_cells())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_statistics_fold(self, rows):
+        table = payoff_rows(rows)
+        assert payoff_table_cells(table) == payoff_table_cells(oracle_payoff_rows(rows))
+        for row in table:
+            cell = {
+                Fraction(r.supporter_payoff)
+                for r in rows
+                if (r.premium_factor, r.term_seconds) == (row.premium_factor, row.term_seconds)
+                and r.outcome_class in ("exercise_profit", "exercise_loss", "default")
+            }
+            if len(cell) == 1:  # one row, or a constant cell
+                assert str(row.std_payoff) == "0E-18"
+
+    def test_equals_statistics_fold_on_sweep_rows(self):
+        # The unrounded rows simulate folds, and their 18-digit CSV round
+        # trip that analyze folds.
+        sweep = run_sweep(gated_rescue_scenario(), ["0.01", "0.05", "0.2"], [HOUR, 3 * HOUR])
+        rows = [row for _, _, report in sweep.cells for row in report.results]
+        parsed = load_outcomes_csv(serialize_outcomes_csv(rows))
+        for fold in (rows, parsed):
+            table = payoff_table_cells(payoff_rows(fold))
+            assert table == payoff_table_cells(oracle_payoff_rows(fold))
 
 
 def gated_rescue_scenario(regime=Regime.HYBRID):
