@@ -17,7 +17,7 @@ from dataclasses import astuple, dataclass, fields
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
-from .core import Amount, FslParams, Price, csv_decimal, ledger_context, to_decimal, write_csv
+from .core import LEDGER, Amount, FslParams, Price, csv_decimal, to_decimal, write_csv
 from .errors import ConfigError, MiqadoError
 from .market import CpAmmPool, GbmParams, generate_gbm, load_price_csv, serialize_price_csv
 from .option import BsInputs, ModelInputError, bs_call_price, optimal_premium_factor
@@ -263,11 +263,10 @@ def load_config(config_path: Path, seed_override: int | None = None) -> RunConfi
     sweep_raw = _section(_require(raw, "sweep"), "sweep.", ("lambdas", "terms_hours"))
     lambdas = _numbers(sweep_raw, "lambdas", "sweep.")
     _build("sweep.lambdas", check_sweep_axis, lambdas)
-    with ledger_context():
-        terms_seconds = [
-            _as_number(h * 3600, "sweep.terms_hours (in seconds)", int)
-            for h in _numbers(sweep_raw, "terms_hours", "sweep.")
-        ]
+    terms_seconds = [
+        _as_number(LEDGER.multiply(h, 3600), "sweep.terms_hours (in seconds)", int)
+        for h in _numbers(sweep_raw, "terms_hours", "sweep.")
+    ]
     _build("sweep.terms_hours", check_sweep_axis, terms_seconds)
 
     miq_raw = _section(_require(raw, "miqado"), "miqado.", ("k_re", "buffer", "rescue_above_hf"))

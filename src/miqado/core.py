@@ -25,7 +25,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from decimal import Context, Decimal, InvalidOperation, localcontext
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    Inexact,
+    InvalidOperation,
+    localcontext,
+)
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, TypeVar, Union
@@ -48,15 +57,23 @@ LEDGER_PRECISION = 80
 #: Resolution used when quantizing ledger values for reports and CSV output.
 QUANTUM = Decimal("1E-18")
 
-_LEDGER_CTX = Context(prec=LEDGER_PRECISION)
+#: The one ledger context. Ledger arithmetic calls its methods (`add`,
+#: `subtract`, `multiply`, `divide`, `minus`), so it rounds exactly as a
+#: block under `ledger_context()` would, without entering a context.
+LEDGER = Context(prec=LEDGER_PRECISION)
+
+#: A context in which every operation is exact or raises `Inexact`: for
+#: sums and products that must not round.
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 
 Numeric = Union[Decimal, int, str, float]
 T = TypeVar("T")
 
 
 def ledger_context():
-    """Context manager activating the 80-digit ledger arithmetic context."""
-    return localcontext(_LEDGER_CTX)
+    """Context manager activating a copy of the 80-digit ledger context,
+    for a block that needs to modify it."""
+    return localcontext(LEDGER)
 
 
 def to_decimal(value: Numeric) -> Decimal:
@@ -170,7 +187,8 @@ class Amount:
     unit: Unit
 
     def __post_init__(self):
-        object.__setattr__(self, "value", to_decimal(self.value))
+        if not isinstance(self.value, Decimal):
+            object.__setattr__(self, "value", to_decimal(self.value))
         if not self.value.is_finite():
             raise ValueError("amount must be finite")
         if self.value < 0:
@@ -178,11 +196,11 @@ class Amount:
 
     @classmethod
     def debt(cls, value: Numeric) -> "Amount":
-        return cls(to_decimal(value), Unit.DEBT)
+        return cls(value, Unit.DEBT)
 
     @classmethod
     def collateral(cls, value: Numeric) -> "Amount":
-        return cls(to_decimal(value), Unit.COLLATERAL)
+        return cls(value, Unit.COLLATERAL)
 
     def _check_unit(self, other: "Amount") -> None:
         if self.unit is not other.unit:
@@ -192,13 +210,11 @@ class Amount:
 
     def __add__(self, other: "Amount") -> "Amount":
         self._check_unit(other)
-        with ledger_context():
-            return Amount(self.value + other.value, self.unit)
+        return Amount(LEDGER.add(self.value, other.value), self.unit)
 
     def __sub__(self, other: "Amount") -> "Amount":
         self._check_unit(other)
-        with ledger_context():
-            out = self.value - other.value
+        out = LEDGER.subtract(self.value, other.value)
         if out < 0:
             raise ValueError("amount subtraction went negative")
         return Amount(out, self.unit)
@@ -208,8 +224,7 @@ class Amount:
         f = to_decimal(factor)
         if f < 0:
             raise ValueError("scale factor must be non-negative")
-        with ledger_context():
-            return Amount(self.value * f, self.unit)
+        return Amount(LEDGER.multiply(self.value, f), self.unit)
 
 
 @dataclass(frozen=True)
@@ -219,7 +234,8 @@ class Price:
     value: Decimal
 
     def __post_init__(self):
-        object.__setattr__(self, "value", to_decimal(self.value))
+        if not isinstance(self.value, Decimal):
+            object.__setattr__(self, "value", to_decimal(self.value))
         if not (self.value.is_finite() and self.value > 0):
             raise ValueError(f"price must be finite and > 0, got {self.value}")
 
@@ -292,23 +308,28 @@ class FslOutcome:
     shortfall: bool
 
 
-def health_factor(pos: BorrowingPosition, p: Price, theta: Numeric) -> Fraction:
-    """Discounted collateral value over debt: C * p * theta / D, the one
-    evaluation of the formula. Returned as an exact Fraction, built from
-    the operands' integer ratios and reduced once; the position is
-    liquidatable when the result is below one."""
+def _discounted_collateral(pos: BorrowingPosition, p: Price, theta: Numeric) -> Decimal:
+    """C * p * theta, exactly: the health factor's numerator, whose
+    denominator is the debt D. Zero debt leaves the health factor
+    undefined and raises."""
     if pos.debt.value == 0:
         raise UndefinedHealthError(f"position {pos.id} has zero debt")
-    cn, cd = pos.collateral.value.as_integer_ratio()
-    pn, pd = p.value.as_integer_ratio()
-    tn, td = to_decimal(theta).as_integer_ratio()
-    dn, dd = pos.debt.value.as_integer_ratio()
-    return Fraction(cn * pn * tn * dd, cd * pd * td * dn)
+    value = EXACT.multiply(EXACT.multiply(pos.collateral.value, p.value), to_decimal(theta))
+    if not value.is_finite():
+        raise ValueError(f"theta must be finite, got {theta!r}")
+    return value
+
+
+def health_factor(pos: BorrowingPosition, p: Price, theta: Numeric) -> Fraction:
+    """Discounted collateral value over debt: C * p * theta / D, as an
+    exact Fraction; the position is liquidatable when it is below one."""
+    return Fraction(_discounted_collateral(pos, p, theta)) / Fraction(pos.debt.value)
 
 
 def is_liquidatable(pos: BorrowingPosition, p: Price, theta: Numeric) -> bool:
-    """True when the health factor is strictly below one."""
-    return health_factor(pos, p, theta) < 1
+    """True when the health factor is strictly below one: C * p * theta < D,
+    compared exactly without building the Fraction."""
+    return _discounted_collateral(pos, p, theta) < pos.debt.value
 
 
 def _seizure(
@@ -317,13 +338,12 @@ def _seizure(
     """(repaid, seized, shortfall) of a liquidation repaying `repaid` at p:
     it seizes repaid * (1 + spread) / p, or, when that exceeds the
     collateral, the whole balance and repays only what that covers."""
-    with ledger_context():
-        bonus = 1 + spread
-        seized = repaid * bonus / p.value
-        if seized <= pos.collateral.value:
-            return repaid, seized, False
-        seized = pos.collateral.value
-        return seized * p.value / bonus, seized, True
+    bonus = LEDGER.add(1, spread)
+    seized = LEDGER.divide(LEDGER.multiply(repaid, bonus), p.value)
+    if seized <= pos.collateral.value:
+        return repaid, seized, False
+    seized = pos.collateral.value
+    return LEDGER.divide(LEDGER.multiply(seized, p.value), bonus), seized, True
 
 
 def execute_fsl(
@@ -341,14 +361,13 @@ def execute_fsl(
         raise UnitMismatchError("repay must be a debt-unit amount")
     if not is_liquidatable(pos, p, params.theta):
         raise NotLiquidatableError(f"position {pos.id} is healthy")
-    with ledger_context():
-        max_repay = pos.debt.value * params.close_factor
-        if repay.value > max_repay:
-            raise CloseFactorViolationError(
-                f"repay {repay.value} exceeds close-factor bound {max_repay}"
-            )
-        repaid, seized, shortfall = _seizure(pos, p, params.spread, repay.value)
-        profit = repaid * params.spread
+    max_repay = LEDGER.multiply(pos.debt.value, params.close_factor)
+    if repay.value > max_repay:
+        raise CloseFactorViolationError(
+            f"repay {repay.value} exceeds close-factor bound {max_repay}"
+        )
+    repaid, seized, shortfall = _seizure(pos, p, params.spread, repay.value)
+    profit = LEDGER.multiply(repaid, params.spread)
     pos.debt = pos.debt - Amount.debt(repaid)
     pos.collateral = pos.collateral - Amount.collateral(seized)
     return FslOutcome(
@@ -370,10 +389,10 @@ def fsl_post_health_factor(
     +infinity sentinel. The seizure is clamped to the collateral as in
     :func:`execute_fsl`.
     """
-    with ledger_context():
-        repaid, seized, _ = _seizure(pos, p, params.spread, pos.debt.value * params.close_factor)
-        debt_after = pos.debt.value - repaid
-        coll_after = pos.collateral.value - seized
+    max_repay = LEDGER.multiply(pos.debt.value, params.close_factor)
+    repaid, seized, _ = _seizure(pos, p, params.spread, max_repay)
+    debt_after = LEDGER.subtract(pos.debt.value, repaid)
+    coll_after = LEDGER.subtract(pos.collateral.value, seized)
     if debt_after == 0:
         return math.inf
     after = replace(pos, debt=Amount.debt(debt_after), collateral=Amount.collateral(coll_after))

@@ -29,13 +29,13 @@ from typing import Iterable
 
 from ._gbm_draws import ndtri, open_uniforms
 from .core import (
+    LEDGER,
     SECONDS_PER_YEAR,
     Amount,
     Numeric,
     Price,
     csv_decimal,
     csv_int,
-    ledger_context,
     read_csv,
     to_decimal,
     write_csv,
@@ -215,8 +215,7 @@ class CpAmmPool:
 
     @property
     def spot(self) -> Decimal:
-        with ledger_context():
-            return self.reserve_quote / self.reserve_base
+        return LEDGER.divide(self.reserve_quote, self.reserve_base)
 
 
 def amm_swap_base_for_quote(
@@ -233,15 +232,14 @@ def amm_swap_base_for_quote(
         raise ValueError("amount_base_in must be >= 0")
     if dy == 0:
         return Decimal(0), pool.spot
-    with ledger_context():
-        x, y = pool.reserve_quote, pool.reserve_base
-        dy_eff = dy * (1 - pool.fee)
-        k = x * y
-        new_x = k / (y + dy_eff)
-        quote_out = x - new_x
-        pool.reserve_quote = x - quote_out
-        pool.reserve_base = y + dy
-        new_spot = pool.reserve_quote / pool.reserve_base
+    x, y = pool.reserve_quote, pool.reserve_base
+    dy_eff = LEDGER.multiply(dy, LEDGER.subtract(1, pool.fee))
+    k = LEDGER.multiply(x, y)
+    new_x = LEDGER.divide(k, LEDGER.add(y, dy_eff))
+    quote_out = LEDGER.subtract(x, new_x)
+    pool.reserve_quote = LEDGER.subtract(x, quote_out)
+    pool.reserve_base = LEDGER.add(y, dy)
+    new_spot = LEDGER.divide(pool.reserve_quote, pool.reserve_base)
     return quote_out, new_spot
 
 
@@ -258,11 +256,9 @@ def direct_price_decline(
         raise ValueError("sold_fraction must lie in [0, 1]")
     scratch = replace(pool)
     before = scratch.spot
-    with ledger_context():
-        sold = seized.value * frac
+    sold = LEDGER.multiply(seized.value, frac)
     _, after = amm_swap_base_for_quote(scratch, sold)
-    with ledger_context():
-        return (before - after) / before
+    return LEDGER.divide(LEDGER.subtract(before, after), before)
 
 
 def pool_from_price_impact(
@@ -282,8 +278,7 @@ def pool_from_price_impact(
         raise ValueError("need 0 < spot_after < spot_before")
     if dy <= 0:
         raise ValueError("base_sold must be > 0")
-    with ledger_context():
-        rho = (p1 / p0).sqrt()
-        y = dy * rho / (1 - rho)
-        x = p0 * y
+    rho = LEDGER.sqrt(LEDGER.divide(p1, p0))
+    y = LEDGER.divide(LEDGER.multiply(dy, rho), LEDGER.subtract(1, rho))
+    x = LEDGER.multiply(p0, y)
     return CpAmmPool(reserve_quote=x, reserve_base=y, fee=to_decimal(fee))

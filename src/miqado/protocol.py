@@ -25,13 +25,15 @@ from decimal import Decimal
 from enum import Enum
 
 from .core import (
+    LEDGER,
     SECONDS_PER_YEAR,
     Amount,
     BorrowingPosition,
     Numeric,
     Price,
-    health_factor,
-    ledger_context,
+    # Unused here; the benchmark probe ("miqado.protocol", "health_factor") patches the name.
+    health_factor,  # noqa: F401
+    is_liquidatable,
     to_decimal,
 )
 from .errors import (
@@ -116,9 +118,7 @@ def can_initiate(
     theta + buffer, which is exactly CR * (theta + buffer), is strictly
     below one. With buffer 0 this is the liquidation threshold HF < 1.
     """
-    with ledger_context():
-        discount = to_decimal(theta) + params.buffer
-    return health_factor(pos, p, discount) < 1
+    return is_liquidatable(pos, p, LEDGER.add(to_decimal(theta), params.buffer))
 
 
 def initiate(
@@ -146,8 +146,7 @@ def initiate(
     if not can_initiate(pos, p, theta, params):
         raise NotEligibleError(f"position {pos.id} is outside the engagement window")
     topup = pos.collateral.scaled(premium_factor)
-    with ledger_context():
-        premium_value = topup.value * p.value
+    premium_value = LEDGER.multiply(topup.value, p.value)
     session = MiqadoSession(
         id=f"{pos.id}@{now}",
         position_id=pos.id,
@@ -187,12 +186,12 @@ def terminate(
         raise TooLateError(f"cannot terminate at/after maturity {session.maturity}")
     if now <= session.started:
         raise TooEarlyError("termination window opens after the session starts")
-    with ledger_context():
-        reimbursement = (
-            session.topup.value * (1 + session.borrow_rate) * params.k_re
-        )
-        receipt = session.topup.value + reimbursement
-        payoff = reimbursement * p.value
+    topup = session.topup.value
+    reimbursement = LEDGER.multiply(
+        LEDGER.multiply(topup, LEDGER.add(1, session.borrow_rate)), params.k_re
+    )
+    receipt = LEDGER.add(topup, reimbursement)
+    payoff = LEDGER.multiply(reimbursement, p.value)
     pos.collateral = pos.collateral - session.topup
     pos.active_session_id = None
     session.state = SessionState.TERMINATED
@@ -222,11 +221,11 @@ def settle_at_maturity(
     if now < session.maturity:
         raise TooEarlyError(f"maturity is {session.maturity}, cannot settle at {now}")
     strike = pos.debt.value  # outstanding-debt strike rule
-    with ledger_context():
-        collateral_value = pos.collateral.value * p_maturity.value
+    collateral_value = LEDGER.multiply(pos.collateral.value, p_maturity.value)
     if collateral_value >= strike:
-        with ledger_context():
-            payoff = collateral_value - strike - session.premium_value.value
+        payoff = LEDGER.subtract(
+            LEDGER.subtract(collateral_value, strike), session.premium_value.value
+        )
         receipt = pos.collateral.value
         # Full takeover: supporter repays the debt, takes every collateral
         # unit, and the position closes.
@@ -241,8 +240,7 @@ def settle_at_maturity(
             premium_value=session.premium_value.value,
             supporter_receipt_collateral=receipt,
         )
-    with ledger_context():
-        payoff = -session.premium_value.value
+    payoff = LEDGER.minus(session.premium_value.value)
     pos.active_session_id = None
     session.state = SessionState.DEFAULTED
     return SettlementOutcome(

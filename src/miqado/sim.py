@@ -15,9 +15,10 @@ Events are processed in order and independently: no sale moves the pool or the p
 `run_sweep` decides each fact once, at the stage it depends on: per path
 (the record-high index), per sweep, per premium factor (the (1+λ)·HF
 summary), per event (trigger liquidation, eligibility), per (event, term)
-(the gate's break-even factor, the maturity, the record highs before it)
-or per cell (the session, the rescue's price bound); one scenario is a
-one-cell sweep.
+(the gate's break-even factor, the maturity, the record highs before it,
+the liquidation of a default at maturity unless its seizure clamps) or per
+cell (the session, the rescue's price bound); one scenario is a one-cell
+sweep.
 Everything is a deterministic function of the scenario value, so
 identical inputs reproduce identical reports byte for byte.
 
@@ -36,16 +37,20 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from decimal import MAX_PREC, Context, Decimal, Inexact, localcontext
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
+    EXACT,
+    LEDGER,
     SECONDS_PER_YEAR,
     Amount,
     BorrowingPosition,
+    FslOutcome,
     FslParams,
     Numeric,
     Price,
@@ -55,7 +60,7 @@ from .core import (
     execute_fsl,
     fsl_post_health_factor,
     health_factor,
-    ledger_context,
+    is_liquidatable,
     read_csv,
     to_decimal,
     write_csv,
@@ -309,8 +314,7 @@ def _dec_or_none(value: Decimal | None) -> str | None:
 def _sum(values: Iterable[Decimal]) -> Decimal:
     """The exact sum, which `dec_str` rounds once: `csv_decimal`'s exponent
     bound keeps its digits few, and a sum that would round raises."""
-    with localcontext(Context(prec=MAX_PREC, traps=[Inexact])):
-        return sum(values, Decimal(0))
+    return reduce(EXACT.add, values, Decimal(0))
 
 
 def payoff_rows(rows: Iterable[OutcomeRow]) -> list[PayoffRow]:
@@ -397,16 +401,17 @@ Released = tuple[Decimal, Decimal | None]
 _NOTHING_RELEASED: Released = (Decimal(0), None)
 
 
-def _liquidate(pos: BorrowingPosition, price: Price, s: Scenario) -> Released:
+def _liquidate(pos: BorrowingPosition, price: Price, s: Scenario) -> tuple[FslOutcome, Released]:
     """Liquidate the position in place at `price`, repaying the
-    close-factor maximum: the value of the collateral seized, and the
-    pool's relative price decline when it is sold (None without a pool)."""
-    with ledger_context():
-        repay = Amount.debt(pos.debt.value * s.fsl.close_factor)
-        seized = execute_fsl(pos, price, s.fsl, repay).collateral_seized
-        release = seized.value * price.value
+    close-factor maximum: the liquidation's outcome, and what it released:
+    the value of the collateral seized, and the pool's relative price
+    decline when it is sold (None without a pool)."""
+    repay = Amount.debt(LEDGER.multiply(pos.debt.value, s.fsl.close_factor))
+    outcome = execute_fsl(pos, price, s.fsl, repay)
+    seized = outcome.collateral_seized
+    release = LEDGER.multiply(seized.value, price.value)
     decline = None if s.pool is None else direct_price_decline(s.pool, seized, s.sold_fraction)
-    return release, decline
+    return outcome, (release, decline)
 
 
 def _trigger(
@@ -424,7 +429,7 @@ def _trigger(
             idx, f"health factor {float(hf_pre):.6f} at offset {ev.path_offset} is not below one"
         )
     hf_fsl = fsl_post_health_factor(ev.position, p0, s.fsl)
-    return hf_pre, hf_fsl, _liquidate(copy.copy(ev.position), p0, s)
+    return hf_pre, hf_fsl, _liquidate(copy.copy(ev.position), p0, s)[1]
 
 
 def _healthy_share(values: Sequence[Fraction | float]) -> Decimal:
@@ -506,7 +511,15 @@ def _run_term(
     maturity where the topped-up health factor C'·p·θ/D reaches
     `rescue_above_hf` h, i.e. where p ≥ h·D/(C'·θ). That point exceeds
     every one before it, so each cell bisects the record highs' prices for
-    its one exact bound."""
+    its one exact bound.
+
+    A default in the hybrid regime liquidates (D, C') at the maturity price
+    p_T. Its seizure close_factor·D·(1+spread)/p_T does not depend on λ, so
+    neither does what it releases, unless the seizure clamps to C'. So the
+    first unclamped maturity liquidation of the term is kept, and a later
+    default cell reuses it iff that seizure is at most its own C' (and its
+    position is liquidatable at p_T); any other cell liquidates its own.
+    This holds for λ in any order."""
     point = s.path[ev.path_offset]
     p0, t0 = point.price, point.timestamp
     theta = s.fsl.theta
@@ -538,6 +551,26 @@ def _run_term(
             k = 0 if h <= 0 else len(records)
         return records[k] if k < len(records) else None
 
+    # The first unclamped maturity liquidation: (collateral seized, released).
+    at_maturity: tuple[Decimal, Released] | None = None
+
+    def liquidate_at_maturity(pos: BorrowingPosition) -> Released:
+        """What liquidating the defaulted position at maturity releases.
+        Of its collateral C', the liquidation reads only the clamp and the
+        guard C'·p_T·θ < D, so a cell that passes both reuses the first
+        unclamped liquidation."""
+        nonlocal at_maturity
+        if (
+            at_maturity is not None
+            and at_maturity[0] <= pos.collateral.value
+            and is_liquidatable(pos, maturity.price, theta)
+        ):
+            return at_maturity[1]
+        outcome, released = _liquidate(pos, maturity.price, s)
+        if at_maturity is None and not outcome.shortfall:
+            at_maturity = outcome.collateral_seized.value, released
+        return released
+
     def session_row(lam: Decimal) -> OutcomeRow:
         pos = copy.copy(ev.position)
         session = initiate(pos, p0, theta, s.miqado, lam, term, t0)
@@ -552,7 +585,7 @@ def _run_term(
             return _row(idx, ev, lam, term, klass, settlement=outcome)
         released = _NOTHING_RELEASED
         if s.regime is Regime.HYBRID:
-            released = _liquidate(pos, maturity.price, s)
+            released = liquidate_at_maturity(pos)
         return _row(idx, ev, lam, term, CLASS_DEFAULT, released, outcome)
 
     return [
@@ -612,9 +645,11 @@ def run_sweep(
     event, in order: the trigger check, the trigger liquidation (the FSL
     baseline and the outcome of any cell liquidated there) and, under
     fsl_only or outside the engagement window, the class of every cell.
-    Per (event, term): the gate's break-even factor, the maturity and the
-    record highs before it. Per cell: the session and the rescue's price
-    bound. Per premium factor: the (1+λ)·HF summary. Last, the rows fold
+    Per (event, term): the gate's break-even factor, the maturity, the
+    record highs before it and, in the hybrid regime, the liquidation of a
+    default at maturity, which a cell redoes only where the seizure clamps
+    to its topped-up collateral. Per cell: the session and the rescue's
+    price bound. Per premium factor: the (1+λ)·HF summary. Last, the rows fold
     into the sweep's payoff table and each cell's report, which holds the
     cell's row of that table. The sweep names its lowest-index
     failing event, in the first cell (term-major) where it fails."""
@@ -733,8 +768,7 @@ def synthesize_events(
         if not lo <= hf < hi:
             hf = lo + (hi - lo) / 2
         price = path[offset].price
-        with ledger_context():
-            debt = coll * price.value * theta_dec / hf
+        debt = LEDGER.divide(LEDGER.multiply(LEDGER.multiply(coll, price.value), theta_dec), hf)
         pos = BorrowingPosition(
             id=f"ev{i:04d}",
             debt=Amount.debt(debt),
@@ -784,13 +818,27 @@ def outcome_rows_from_report(report: MetricsReport) -> list[OutcomeRow]:
 
 
 def serialize_outcomes_csv(rows: Sequence[OutcomeRow]) -> str:
+    """outcomes.csv text. `dec_str` depends only on a value's number, and
+    equal Decimals hash alike, so each distinct value is rendered once:
+    a session's restraint is its premium, a premium repeats across terms,
+    and a liquidation's release and decline repeat across cells."""
+    rendered: dict[Decimal, str] = {}
+
+    def text(value: Decimal | None) -> str | None:
+        if value is None:
+            return None
+        out = rendered.get(value)
+        if out is None:
+            out = rendered[value] = dec_str(value)
+        return out
+
     return write_csv(
         OUTCOMES_CSV_HEADER,
         (
             (
                 r.event_index, r.position_id, r.premium_factor, r.term_seconds, r.outcome_class,
-                _dec_or_none(r.supporter_payoff), _dec_or_none(r.premium_value),
-                dec_str(r.release_usd), dec_str(r.restraint_usd), _dec_or_none(r.price_decline),
+                text(r.supporter_payoff), text(r.premium_value),
+                text(r.release_usd), text(r.restraint_usd), text(r.price_decline),
             )
             for r in rows
         ),

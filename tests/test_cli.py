@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import contextmanager
-from decimal import Decimal, Inexact
+from decimal import Decimal, Inexact, localcontext
 from pathlib import Path
 
 import pytest
@@ -350,26 +350,50 @@ class TestSimulate:
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     def test_rounding_sites_pinned(self, capsys, tmp_path, monkeypatch):
-        # Each ledger_context block is recorded, by the function that opened
-        # it, when its arithmetic set the Inexact flag: a new rounding site
-        # fails here.
+        # Ledger arithmetic calls the shared context's methods, and a block
+        # that needs a modified context opens `ledger_context()`. Recording
+        # stand-ins for both note the calling function whenever its
+        # arithmetic sets the Inexact flag: a new rounding site fails here.
         sites = set()
-        ledger_context = core.ledger_context
+        ledger = core.LEDGER
+
+        def caller_site():
+            """module.function of the code that called our caller."""
+            frame = sys._getframe(2)
+            return f"{frame.f_globals['__name__'].rsplit('.', 1)[-1]}.{frame.f_code.co_name}"
+
+        class RecordingLedger:
+            """The shared context's methods, each run on a copy whose flags
+            are cleared first."""
+
+            ctx = ledger.copy()
+
+            def __getattr__(self, name):
+                method = getattr(self.ctx, name)
+
+                def call(*args):
+                    self.ctx.clear_flags()
+                    result = method(*args)
+                    if self.ctx.flags[Inexact]:
+                        sites.add(caller_site())
+                    return result
+
+                return call
 
         @contextmanager
         def recorded(site):
-            with ledger_context() as ctx:
+            with localcontext(ledger) as ctx:
+                ctx.clear_flags()
                 yield ctx
                 if ctx.flags[Inexact]:
                     sites.add(site)
 
         def recording_context():
-            caller = sys._getframe(1)
-            module = caller.f_globals["__name__"].rsplit(".", 1)[-1]
-            return recorded(f"{module}.{caller.f_code.co_name}")
+            return recorded(caller_site())
 
         for module in (cli, core, market, protocol, sim):
-            monkeypatch.setattr(module, "ledger_context", recording_context)
+            monkeypatch.setattr(module, "LEDGER", RecordingLedger())
+        monkeypatch.setattr(core, "ledger_context", recording_context)
         code, _, _ = run_cli(
             capsys, "simulate", "--config", str(FIXTURES / "config_sweep.json"),
             "--out", str(tmp_path),

@@ -10,12 +10,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from miqado.core import (
+    EXACT,
+    LEDGER,
     Amount,
     BorrowingPosition,
     FslParams,
     Price,
     csv_decimal,
     csv_int,
+    dec_str,
     execute_fsl,
     fsl_post_health_factor,
     health_factor,
@@ -28,6 +31,7 @@ from miqado.errors import (
     UndefinedHealthError,
     UnitMismatchError,
 )
+from miqado.protocol import MiqadoParams, can_initiate
 
 
 def make_pos(debt="100", collateral="150", rate="0.05", pid="p1"):
@@ -57,6 +61,48 @@ csv_range_decimals = st.builds(
     st.integers(min_value=1, max_value=10**20 - 1),
     st.integers(min_value=-1000, max_value=980),
 )
+
+
+def _digits_at(digits: int, adjusted: int) -> Decimal:
+    """`digits` with its leading digit at 10**adjusted."""
+    return Decimal(digits).scaleb(adjusted - len(str(digits)) + 1)
+
+
+#: Up to 80 digits, the ledger's precision, at every order of magnitude
+#: that `csv_decimal` accepts.
+ledger_decimals = st.builds(
+    _digits_at, st.integers(min_value=1, max_value=10**80 - 1), st.integers(-1000, 1000)
+)
+#: Discounts in (0, 1], of up to 80 digits, down to 1e-1000.
+discounts = st.one_of(
+    st.just(Decimal(1)),
+    st.builds(_digits_at, st.integers(min_value=1, max_value=10**80 - 1), st.integers(-1000, -1)),
+)
+
+
+@st.composite
+def guard_cases(draw):
+    """A position, a price, theta and a buffer with theta + buffer in
+    (0, 1]. The debt is drawn on its own, or within one unit in the 80th
+    digit of C·p·(theta + buffer), where the guards' answer turns."""
+    collateral = draw(st.one_of(st.just(Decimal(0)), ledger_decimals))
+    price = draw(ledger_decimals)
+    theta = draw(discounts)
+    buffer = draw(st.one_of(st.just(Decimal(0)), discounts))
+    assume(Fraction(theta) + Fraction(buffer) <= 1)
+    discount = LEDGER.add(theta, buffer)
+    boundary = LEDGER.plus(EXACT.multiply(EXACT.multiply(collateral, price), discount))
+    if boundary and draw(st.booleans()):
+        debt = draw(st.sampled_from([LEDGER.next_minus(boundary), boundary, LEDGER.next_plus(boundary)]))
+    else:
+        debt = draw(ledger_decimals)
+    pos = BorrowingPosition(
+        id="p1",
+        debt=Amount.debt(debt),
+        collateral=Amount.collateral(collateral),
+        borrow_rate=Decimal("0.05"),
+    )
+    return pos, Price(price), theta, buffer
 
 
 class TestHealthFactor:
@@ -132,6 +178,28 @@ class TestIsLiquidatable:
     def test_hand_example(self):
         pos = make_pos("80", "100")
         assert is_liquidatable(pos, Price(Decimal("0.9")), Decimal("0.85"))
+
+    @given(case=guard_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_guards_equal_the_exact_health_factor(self, case):
+        # `is_liquidatable` compares C·p·θ with D without a Fraction, and
+        # `can_initiate` is it at θ + buffer; both answer HF < 1 exactly.
+        pos, price, theta, buffer = case
+        discount = LEDGER.add(theta, buffer)
+        exact = (
+            Fraction(pos.collateral.value) * Fraction(price.value) * Fraction(discount)
+            / Fraction(pos.debt.value)
+        )
+        params = MiqadoParams(k_re=Decimal("0.5"), buffer=buffer)
+        assert health_factor(pos, price, discount) == exact
+        assert is_liquidatable(pos, price, discount) == (exact < 1)
+        assert can_initiate(pos, price, theta, params) == (exact < 1)
+        pos.debt = Amount.debt(0)  # post-takeover state
+        for guard in (health_factor, is_liquidatable):
+            with pytest.raises(UndefinedHealthError):
+                guard(pos, price, discount)
+        with pytest.raises(UndefinedHealthError):
+            can_initiate(pos, price, theta, params)
 
 
 FSL = FslParams(theta=Decimal("0.8"), close_factor=Decimal("0.5"), spread=Decimal("0.05"))
@@ -312,6 +380,36 @@ class TestQuantize:
         value = Decimal("1" + "0" * 70 + ".5")
         assert quantize(value) == value
         assert str(quantize(value)).endswith(".500000000000000000")
+
+
+class TestDecStrOfEqualValues:
+    """`dec_str` depends only on a value's number, so equal Decimals, which
+    also hash alike, render alike: outcomes.csv renders each distinct
+    value once."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            ("1.5", "1.50", "15E-1"),
+            ("0", "-0", "0E-30", "-0E+5"),
+            # 80 digits, a tie at the 18th fractional digit: half-even keeps the 8.
+            ("0.1234567890123456785", "0.1234567890123456785" + "0" * 61),
+            # 80 digits that round up at the 18th fractional digit.
+            ("0.123456789012345678" + "6" * 62, "0.123456789012345678" + "6" * 62 + "000"),
+        ],
+    )
+    def test_examples(self, values):
+        decimals = [Decimal(v) for v in values]
+        assert len(set(decimals)) == 1
+        assert len({dec_str(d) for d in decimals}) == 1
+
+    @given(value=ledger_decimals, negative=st.booleans(), zeros=st.integers(0, 40))
+    def test_trailing_zeros_do_not_change_the_rendering(self, value, negative, zeros):
+        _, digits, exponent = value.as_tuple()
+        value = value.copy_negate() if negative else value
+        padded = Decimal((int(negative), digits + (0,) * zeros, exponent - zeros))
+        assert padded == value and hash(padded) == hash(value)
+        assert dec_str(padded) == dec_str(value)
 
 
 class TestCsvDecimal:

@@ -20,9 +20,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miqado.cli import load_config
-from miqado.core import Amount, BorrowingPosition, FslParams, Price, csv_decimal, health_factor
+from miqado.core import (
+    LEDGER,
+    Amount,
+    BorrowingPosition,
+    FslParams,
+    Price,
+    csv_decimal,
+    dec_str,
+    execute_fsl,
+    health_factor,
+)
 from miqado.errors import CsvFormatError, InsufficientDataError, ScenarioError
-from miqado.market import CpAmmPool, GbmParams, PricePath, generate_gbm, load_price_csv
+from miqado.market import (
+    CpAmmPool,
+    GbmParams,
+    PricePath,
+    direct_price_decline,
+    generate_gbm,
+    load_price_csv,
+)
 from miqado.protocol import (
     MiqadoParams,
     SessionState,
@@ -901,6 +918,24 @@ class TestDistSummaryMean:
         assert summary.mean == Decimal("0.5")
 
 
+class TestOutcomesCsv:
+    def test_equal_values_written_differently_render_alike(self):
+        # outcomes.csv renders each distinct value once, keyed by the
+        # Decimal: every cell must still read as dec_str of its own value.
+        values = ["1.5", "1.50", "0", "-0", "0E-30", "0.1234567890123456785" + "0" * 61]
+        rows = [
+            replace(
+                outcome("default", payoff=v),
+                premium_value=Decimal(v), release_usd=Decimal(v), restraint_usd=Decimal(v),
+                price_decline=Decimal(v),
+            )
+            for v in values
+        ]
+        lines = serialize_outcomes_csv(rows).splitlines()[1:]
+        for v, line in zip(values, lines):
+            assert line.split(",")[5:] == [dec_str(Decimal(v))] * 5
+
+
 class TestRoundOnce:
     """Every report statistic and total is exact and rounds once, half-even,
     to the 18-digit grid: no intermediate rounding moves its last digit."""
@@ -1186,6 +1221,83 @@ class TestSweepSharesTriggerFacts:
 
 def _milli(k: int) -> Decimal:
     return Decimal(k).scaleb(-3)
+
+
+class TestMaturityLiquidationPerTerm:
+    """A default in the hybrid regime liquidates (D, C·(1+λ)) at p_T. Its
+    seizure close_factor·D·(1+spread)/p_T does not depend on λ, so the
+    sweep liquidates once per (event, term), unless the seizure clamps to
+    the topped-up collateral, which it does for small λ."""
+
+    # Trigger HF 1·100·0.8/100 = 0.8. At maturity p_T = 50: every λ < 1
+    # defaults, since (1+λ)·50 < 100, and the seizure 0.5·100·1.5/50 = 1.5
+    # clamps to the collateral 1+λ exactly when λ < 0.5. The grid is
+    # unsorted: a clamped cell comes first, then one after an unclamped one.
+    LAMBDAS = ["0.2", "0.6", "0.4", "0.8", "0.7", "0.45"]
+
+    def scenario(self):
+        return Scenario(
+            events=[LiquidationEvent(position=pos("100", "1"), path_offset=0)],
+            path=PricePath.from_pairs([(0, "100"), (HOUR, "50")]),
+            fsl=FslParams(theta=Decimal("0.8"), close_factor=Decimal("0.5"), spread=Decimal("0.5")),
+            miqado=miq(),
+            regime=Regime.HYBRID,
+            pool=CpAmmPool(
+                reserve_quote=Decimal("1000"), reserve_base=Decimal("20"), fee=Decimal("0.003")
+            ),
+            sold_fraction=Decimal("0.95"),
+            supporter_gate=False,
+        )
+
+    def test_rows_equal_a_liquidation_per_cell(self, monkeypatch):
+        s = self.scenario()
+        ev, start, maturity = s.events[0], s.path[0], s.path[1]
+        liquidations = 0
+
+        def counted(*args):
+            nonlocal liquidations
+            liquidations += 1
+            return execute_fsl(*args)
+
+        monkeypatch.setattr("miqado.sim.execute_fsl", counted)
+        sweep = run_sweep(s, self.LAMBDAS, [HOUR])
+        clamped = set()
+        for lam, _, report in sweep.cells:
+            (row,) = report.results
+            assert row.outcome_class == "default"
+            topped_up = copy.copy(ev.position)
+            initiate(topped_up, start.price, s.fsl.theta, s.miqado, lam, HOUR, start.timestamp)
+            repay = Amount.debt(LEDGER.multiply(topped_up.debt.value, s.fsl.close_factor))
+            outcome = execute_fsl(topped_up, maturity.price, s.fsl, repay)
+            seized = outcome.collateral_seized
+            release = LEDGER.multiply(seized.value, maturity.price.value)
+            decline = direct_price_decline(s.pool, seized, s.sold_fraction)
+            assert (row.release_usd, row.price_decline) == (release, decline)
+            clamped.add(outcome.shortfall)
+        assert clamped == {True, False}
+        # The trigger, the three clamped cells and the first unclamped one.
+        assert liquidations == 5
+
+    def test_a_cell_the_liquidation_guard_refuses_fails_as_alone(self):
+        # θ = 1 − 1e-100. At λ = 0.5 the position defaults, since the
+        # 80-digit C'·p_T = 1.5 + 4e-79 is below D = 1.5 + 4.4e-79, yet
+        # the exact C'·p_T·θ ≈ 1.5 + 4.5e-79 is not below D: that cell's
+        # liquidation finds the position healthy, even after the λ = 0.4
+        # cell liquidated unclamped.
+        s = replace(
+            self.scenario(),
+            events=[LiquidationEvent(position=pos("1.5" + "0" * 77 + "44", "1"), path_offset=0)],
+            path=PricePath.from_pairs([(0, "1"), (HOUR, "1." + "0" * 78 + "3")]),
+            fsl=FslParams(
+                theta=Decimal("0." + "9" * 100), close_factor=Decimal("0.5"), spread=Decimal("0.05")
+            ),
+        )
+        assert run_scenario(s, "0.4", HOUR).class_counts == {"default": 1}
+        with pytest.raises(ScenarioError) as alone:
+            run_scenario(s, "0.5", HOUR)
+        with pytest.raises(ScenarioError) as swept:
+            run_sweep(s, ["0.4", "0.5"], [HOUR])
+        assert str(swept.value) == str(alone.value) == "event 0: position b1 is healthy"
 
 
 @st.composite
