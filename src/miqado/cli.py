@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
@@ -102,7 +102,6 @@ def cmd_price(args: argparse.Namespace) -> int:
             term=args.term,
         )
         collateral = Amount.collateral(_positive_flag(args.collateral, "--collateral"))
-        price = bs_call_price(inputs)
         lam_star = optimal_premium_factor(
             Price(to_decimal(args.spot)),
             collateral,
@@ -112,6 +111,8 @@ def cmd_price(args: argparse.Namespace) -> int:
             sigma=args.sigma,
             term=args.term,
         )
+        # The call that λ* prices: spot·collateral against the whole debt.
+        price = bs_call_price(replace(inputs, spot=args.spot * float(collateral.value)))
     except ModelInputError as exc:
         print(f"usage error: {exc.naming(_PRICE_FLAGS)}", file=sys.stderr)
         return 2
@@ -421,13 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_price = sub.add_parser("price", help="price the takeover option and break-even premium factor")
-    p_price.add_argument("--spot", type=_finite_float, required=True)
-    p_price.add_argument("--strike", type=_finite_float, required=True)
+    p_price.add_argument("--spot", type=_finite_float, required=True, help="per collateral unit")
+    p_price.add_argument("--strike", type=_finite_float, required=True, help="the whole debt")
     p_price.add_argument("--rate", type=_finite_float, default=0.0, help="domestic (borrow) rate")
     p_price.add_argument("--foreign-rate", type=_finite_float, default=0.0)
     p_price.add_argument("--sigma", type=_finite_float, required=True)
     p_price.add_argument("--term", type=_finite_float, required=True, help="years")
-    p_price.add_argument("--collateral", type=str, default="1")
+    p_price.add_argument("--collateral", type=str, default="1", help="units the option buys")
     p_price.set_defaults(func=cmd_price)
 
     p_gbm = sub.add_parser("gbm", help="emit a synthetic price path as CSV")

@@ -33,7 +33,6 @@ from decimal import (
     Decimal,
     Inexact,
     InvalidOperation,
-    localcontext,
 )
 from enum import Enum
 from fractions import Fraction
@@ -58,9 +57,13 @@ LEDGER_PRECISION = 80
 QUANTUM = Decimal("1E-18")
 
 #: The one ledger context. Ledger arithmetic calls its methods (`add`,
-#: `subtract`, `multiply`, `divide`, `minus`), so it rounds exactly as a
-#: block under `ledger_context()` would, without entering a context.
+#: `subtract`, `multiply`, `divide`, `minus`), so it rounds without
+#: entering a context.
 LEDGER = Context(prec=LEDGER_PRECISION)
+
+#: The context that rounds to the report grid: wide enough to keep every
+#: integer digit of a value, so only its fractional digits round.
+REPORT_ROUNDING = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 #: A context in which every operation is exact or raises `Inexact`: for
 #: sums and products that must not round.
@@ -68,12 +71,6 @@ EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 
 Numeric = Union[Decimal, int, str, float]
 T = TypeVar("T")
-
-
-def ledger_context():
-    """Context manager activating a copy of the 80-digit ledger context,
-    for a block that needs to modify it."""
-    return localcontext(LEDGER)
 
 
 def to_decimal(value: Numeric) -> Decimal:
@@ -94,9 +91,7 @@ def to_decimal(value: Numeric) -> Decimal:
 def quantize(value: Decimal) -> Decimal:
     """Round to the 18-fractional-digit report grid (half-even), keeping
     every integer digit even of values too large for the ledger precision."""
-    with ledger_context() as ctx:
-        ctx.prec = max(LEDGER_PRECISION, value.adjusted() + 19)
-        q = value.quantize(QUANTUM)
+    q = REPORT_ROUNDING.quantize(value, QUANTUM)
     if q == 0:
         q = abs(q)  # normalize -0
     return q
@@ -326,10 +321,16 @@ def health_factor(pos: BorrowingPosition, p: Price, theta: Numeric) -> Fraction:
     return Fraction(_discounted_collateral(pos, p, theta)) / Fraction(pos.debt.value)
 
 
+def health_below(pos: BorrowingPosition, p: Price, theta: Numeric, level: Decimal | int) -> bool:
+    """True when the health factor is strictly below `level`:
+    C * p * theta < level * D, compared exactly without building the
+    Fraction."""
+    return _discounted_collateral(pos, p, theta) < EXACT.multiply(level, pos.debt.value)
+
+
 def is_liquidatable(pos: BorrowingPosition, p: Price, theta: Numeric) -> bool:
-    """True when the health factor is strictly below one: C * p * theta < D,
-    compared exactly without building the Fraction."""
-    return _discounted_collateral(pos, p, theta) < pos.debt.value
+    """True when the health factor is strictly below one."""
+    return health_below(pos, p, theta, 1)
 
 
 def _seizure(

@@ -126,25 +126,33 @@ def optimal_premium_factor(
 ) -> float:
     """Break-even premium factor: option value over collateral value.
 
+    The option is the takeover right on the whole position: a call whose
+    spot is the collateral's value C·p0 and whose strike is the whole debt.
     A supporter paying a top-up fraction at or below this factor pays no
-    more than the model value of the takeover right.
+    more than its model value, whatever unit the collateral is counted in.
     """
     collateral_value = float(c_t0.value) * float(p_t0.value)
     if collateral_value == 0:
         raise ModelInputError(
             "collateral value is zero, premium factor undefined", "spot", "collateral"
         )
-    price = bs_call_price(
-        BsInputs(
-            spot=float(p_t0.value),
-            strike=strike,
-            domestic_rate=domestic_rate,
-            foreign_rate=foreign_rate,
-            volatility=sigma,
-            term=term,
-        )
-    )
     collateral_value = _finite(collateral_value, "collateral value", "spot", "collateral")
+    try:
+        price = bs_call_price(
+            BsInputs(
+                spot=collateral_value,
+                strike=strike,
+                domestic_rate=domestic_rate,
+                foreign_rate=foreign_rate,
+                volatility=sigma,
+                term=term,
+            )
+        )
+    except ModelInputError as exc:
+        if "spot" not in exc.fields:
+            raise
+        # The call's spot is the collateral value, so the collateral is an input too.
+        raise ModelInputError(exc.what, *exc.fields, "collateral") from None
     return _finite(price / collateral_value, "premium factor", "spot", "collateral")
 
 

@@ -262,10 +262,11 @@ def supporter_decision(
     """The break-even premium factor lambda* of the term's option: the
     supporter engages at lambda iff float(lambda) <= lambda*; ties engage.
 
-    It prices the takeover right as a European call with strike equal to
-    the current outstanding debt, domestic rate equal to the position's
-    borrow rate, and the given volatility. Eligibility is not tested
-    here: `initiate` enforces the engagement window.
+    It prices the takeover right as a European call on the whole
+    collateral, with strike equal to the current outstanding debt,
+    domestic rate equal to the position's borrow rate, and the given
+    volatility. Eligibility is not tested here: `initiate` enforces the
+    engagement window.
     """
     return optimal_premium_factor(
         p,

@@ -17,8 +17,8 @@ Events are processed in order and independently: no sale moves the pool or the p
 summary), per event (trigger liquidation, eligibility), per (event, term)
 (the gate's break-even factor, the maturity, the record highs before it,
 the liquidation of a default at maturity unless its seizure clamps) or per
-cell (the session, the rescue's price bound); one scenario is a one-cell
-sweep.
+cell (the session, the rescue's exact health-factor comparison); one
+scenario is a one-cell sweep.
 Everything is a deterministic function of the scenario value, so
 identical inputs reproduce identical reports byte for byte.
 
@@ -59,6 +59,7 @@ from .core import (
     dec_str,
     execute_fsl,
     fsl_post_health_factor,
+    health_below,
     health_factor,
     is_liquidatable,
     read_csv,
@@ -196,7 +197,7 @@ class DistSummary:
         bracket straddles a rounding boundary) is the exact Fraction sum
         taken.
         """
-        finite = sorted(v for v in values if not (isinstance(v, float) and math.isinf(v)))
+        finite = sorted([v for v in values if not (isinstance(v, float) and math.isinf(v))])
         inf_count = len(values) - len(finite)
         if not finite:
             return cls(len(values), inf_count, None, None, None, None, None, None)
@@ -209,7 +210,7 @@ class DistSummary:
         # Each floor(v * 10**100) lies in (v * 10**100 - 1, v * 10**100], so
         # the exact mean lies in [S, S + n) / (n * 10**100). Rounding is
         # monotone: when both ends round alike, so does the mean.
-        floor_sum = sum(v.numerator * _MEAN_SCALE // v.denominator for v in finite)
+        floor_sum = sum([v.numerator * _MEAN_SCALE // v.denominator for v in finite])
         mean = _fraction_to_decimal(Fraction(floor_sum, n * _MEAN_SCALE))
         if mean != _fraction_to_decimal(Fraction(floor_sum + n, n * _MEAN_SCALE)):
             mean = _fraction_to_decimal(sum(finite, Fraction(0)) / n)
@@ -434,7 +435,7 @@ def _trigger(
 
 def _healthy_share(values: Sequence[Fraction | float]) -> Decimal:
     """The share of health factors at or above one; zero when empty."""
-    healthy = sum(1 for v in values if v >= 1)
+    healthy = len([v for v in values if v >= 1])
     return _fraction_to_decimal(Fraction(healthy, len(values)) if values else Fraction(0))
 
 
@@ -451,15 +452,15 @@ def _cell_report(
     factor's (1+λ)·HF summary and healthy share. `payoff_row` is the
     cell's own row of the sweep's payoff table, None if no event settled
     at maturity there."""
-    release = _sum(r.release_usd for r in results)
+    release = _sum([r.release_usd for r in results])
     baseline = Fraction(common["fsl_baseline_release_usd"])
     reduction = _fraction_to_decimal(1 - Fraction(release) / baseline) if baseline else None
     return MetricsReport(
         **common,
         n_events=len(results),
-        class_counts=dict(Counter(r.outcome_class for r in results)),
+        class_counts=dict(Counter([r.outcome_class for r in results])),
         collateral_release_usd=release,
-        collateral_restraint_usd=_sum(r.restraint_usd for r in results),
+        collateral_restraint_usd=_sum([r.restraint_usd for r in results]),
         release_reduction=reduction,
         hf_post_miqado=topped_up[0],
         healthy_fraction_miqado=topped_up[1],
@@ -506,19 +507,21 @@ def _run_term(
     """Replay one eligible event in one term's cells, one row per premium
     factor. The gate's break-even factor, the maturity and the record highs
     before it are found once, the last two only if some cell engages; a
-    declined cell releases what the regime does at the trigger. The
+    declined cell releases what the regime does at the trigger.
+
+    Each engaged cell opens its session on a copy of the position. The
     borrower rescues at the first point after initiation and before
-    maturity where the topped-up health factor C'·p·θ/D reaches
-    `rescue_above_hf` h, i.e. where p ≥ h·D/(C'·θ). That point exceeds
-    every one before it, so each cell bisects the record highs' prices for
-    its one exact bound.
+    maturity where the topped-up health factor reaches `rescue_above_hf`
+    h, i.e. where C'·p·θ ≥ h·D (`health_below`). That point exceeds every
+    one before it, so the cell bisects the record highs on that exact
+    comparison. Otherwise the session settles at maturity.
 
     A default in the hybrid regime liquidates (D, C') at the maturity price
     p_T. Its seizure close_factor·D·(1+spread)/p_T does not depend on λ, so
     neither does what it releases, unless the seizure clamps to C'. So the
-    first unclamped maturity liquidation of the term is kept, and a later
-    default cell reuses it iff that seizure is at most its own C' (and its
-    position is liquidatable at p_T); any other cell liquidates its own.
+    loop keeps the first unclamped maturity liquidation of the term, and a
+    later default cell reuses it iff that seizure is at most its own C' and
+    its position is liquidatable at p_T; any other cell liquidates its own.
     This holds for λ in any order."""
     point = s.path[ev.path_offset]
     p0, t0 = point.price, point.timestamp
@@ -532,66 +535,46 @@ def _run_term(
         return [_row(idx, ev, lam, term, CLASS_DECLINED, at_trigger) for lam in lambdas]
     maturity_idx = s.path.index_at_or_after(t0 + term)
     maturity = s.path[maturity_idx]
+    records = []  # the record highs after the trigger and before maturity
     if h is not None:
-        records = []
-        next_higher = s.path.next_higher
+        points, next_higher = s.path.points, s.path.next_higher
         i = ev.path_offset + 1
         while i < maturity_idx:
-            records.append(i)
+            records.append(points[i])
             i = next_higher[i]
-        record_prices = [s.path.prices[i] for i in records]
-        h_debt_per_theta = Fraction(h) * Fraction(ev.position.debt.value) / Fraction(theta)
-
-    def rescue_index(pos: BorrowingPosition) -> int | None:
-        """The first record high where the topped-up health factor reaches h."""
-        collateral = pos.collateral.value
-        if collateral:  # Decimal < Fraction compares exactly
-            k = bisect_left(record_prices, h_debt_per_theta / Fraction(collateral))
-        else:  # the health factor is zero at every price
-            k = 0 if h <= 0 else len(records)
-        return records[k] if k < len(records) else None
-
     # The first unclamped maturity liquidation: (collateral seized, released).
     at_maturity: tuple[Decimal, Released] | None = None
-
-    def liquidate_at_maturity(pos: BorrowingPosition) -> Released:
-        """What liquidating the defaulted position at maturity releases.
-        Of its collateral C', the liquidation reads only the clamp and the
-        guard C'·p_T·θ < D, so a cell that passes both reuses the first
-        unclamped liquidation."""
-        nonlocal at_maturity
-        if (
-            at_maturity is not None
-            and at_maturity[0] <= pos.collateral.value
-            and is_liquidatable(pos, maturity.price, theta)
-        ):
-            return at_maturity[1]
-        outcome, released = _liquidate(pos, maturity.price, s)
-        if at_maturity is None and not outcome.shortfall:
-            at_maturity = outcome.collateral_seized.value, released
-        return released
-
-    def session_row(lam: Decimal) -> OutcomeRow:
+    rows = []
+    for lam, engage in zip(lambdas, engages):
+        if not engage:
+            rows.append(_row(idx, ev, lam, term, CLASS_DECLINED, at_trigger))
+            continue
         pos = copy.copy(ev.position)
         session = initiate(pos, p0, theta, s.miqado, lam, term, t0)
-        i = None if h is None else rescue_index(pos)
-        if i is not None:
-            pt = s.path[i]
-            outcome = terminate(session, pos, pt.price, pt.timestamp, s.miqado)
-            return _row(idx, ev, lam, term, CLASS_TERMINATED, settlement=outcome)
+        k = bisect_left(records, True, key=lambda pt: not health_below(pos, pt.price, theta, h))
+        if k < len(records):
+            outcome = terminate(session, pos, records[k].price, records[k].timestamp, s.miqado)
+            rows.append(_row(idx, ev, lam, term, CLASS_TERMINATED, settlement=outcome))
+            continue
         outcome = settle_at_maturity(session, pos, maturity.price, maturity.timestamp)
         if outcome.state is SessionState.EXERCISED:
             klass = CLASS_EXERCISE_PROFIT if outcome.supporter_payoff > 0 else CLASS_EXERCISE_LOSS
-            return _row(idx, ev, lam, term, klass, settlement=outcome)
+            rows.append(_row(idx, ev, lam, term, klass, settlement=outcome))
+            continue
         released = _NOTHING_RELEASED
         if s.regime is Regime.HYBRID:
-            released = liquidate_at_maturity(pos)
-        return _row(idx, ev, lam, term, CLASS_DEFAULT, released, outcome)
-
-    return [
-        session_row(lam) if engage else _row(idx, ev, lam, term, CLASS_DECLINED, at_trigger)
-        for lam, engage in zip(lambdas, engages)
-    ]
+            if (
+                at_maturity is not None
+                and at_maturity[0] <= pos.collateral.value
+                and is_liquidatable(pos, maturity.price, theta)
+            ):
+                released = at_maturity[1]
+            else:
+                liquidation, released = _liquidate(pos, maturity.price, s)
+                if at_maturity is None and not liquidation.shortfall:
+                    at_maturity = liquidation.collateral_seized.value, released
+        rows.append(_row(idx, ev, lam, term, CLASS_DEFAULT, released, outcome))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -648,11 +631,13 @@ def run_sweep(
     Per (event, term): the gate's break-even factor, the maturity, the
     record highs before it and, in the hybrid regime, the liquidation of a
     default at maturity, which a cell redoes only where the seizure clamps
-    to its topped-up collateral. Per cell: the session and the rescue's
-    price bound. Per premium factor: the (1+λ)·HF summary. Last, the rows fold
-    into the sweep's payoff table and each cell's report, which holds the
-    cell's row of that table. The sweep names its lowest-index
-    failing event, in the first cell (term-major) where it fails."""
+    to its topped-up collateral. Per cell, in one loop over the term's
+    premium factors: the session, and the rescue at the first record high
+    where C'·p·θ ≥ h·D. Per premium factor: the (1+λ)·HF summary. Last,
+    the rows fold into the sweep's payoff table and each cell's report,
+    which holds the cell's row of that table. The sweep names its
+    lowest-index failing event, in the first cell (term-major) where it
+    fails."""
     lambdas = [to_decimal(lam) for lam in premium_factors]
     check_sweep_axis(lambdas)
     check_sweep_axis(terms_seconds)
@@ -775,7 +760,7 @@ def synthesize_events(
             collateral=Amount.collateral(coll),
             borrow_rate=to_decimal(borrow_rate),
         )
-        if health_factor(pos, price, theta_dec) >= 1:
+        if not is_liquidatable(pos, price, theta_dec):
             pos.debt = pos.debt.scaled(Decimal("1.000000000001"))
         events.append(LiquidationEvent(position=pos, path_offset=offset))
     return events

@@ -6,8 +6,7 @@ import math
 import subprocess
 import sys
 import tempfile
-from contextlib import contextmanager
-from decimal import Decimal, Inexact, localcontext
+from decimal import Decimal, Inexact
 from pathlib import Path
 
 import pytest
@@ -92,6 +91,30 @@ OUTCOME_PATH_PINS = {
             "outcomes.csv": "44d1bc4e3022c3c394c2483bf7e98f1cec5b6fa2b586b8198240553d25afb598",
         },
     ),
+    # A crash from 100 to 20.46 with events 2.5 units deep in the band
+    # (0.5, 0.95): 214 exercise_profit, 52 exercise_loss and 484 default
+    # rows, 59 of whose maturity seizures clamp to the topped-up collateral.
+    "crash-hybrid": (
+        "config_crash.json",
+        {},
+        {
+            "report.json": "2bfc4995c53ffd4c0cdc336c1ec505e45a473cacf438c40a5b4e0087761508bd",
+            "payoff_table.csv": "5ebdb4c51a5d9cf5a5b5aa4ca867dc3d42ea2e5a21f95e5e167fafb7d2458d80",
+            "metrics.csv": "38006bb155a10a64d0766ab3e9251468d6d235846b9e7a987cfe8843d1b8d76c",
+            "outcomes.csv": "eedbe0f86f9d9bbd9befab2c6c7800b1524765a114645336269705bc05b1322d",
+        },
+    ),
+    # The same crash liquidated at every trigger.
+    "crash-fsl_only": (
+        "config_crash.json",
+        {"regime": "fsl_only"},
+        {
+            "report.json": "ce3c3f660a5465dd9f63f709b106e186da2c462ebe2864b73bcb2a0712e7dccf",
+            "payoff_table.csv": "887958a1195fd5036fc82c4f156dc46cfe84ccd536b173c1c6009fa452b0ce95",
+            "metrics.csv": "dc9ee2af28e992c7a644132fc97f07d2e40a6272487288451c0c6a01febb45a3",
+            "outcomes.csv": "d0a083159a4cc5e6961eef84cda96336181b78cc4a0d1e0f9f09c38b19b2e779",
+        },
+    ),
     # CSV events with a pool: the default liquidated at maturity records a decline.
     "hand-csv-pool": (
         "config_hand.json",
@@ -157,12 +180,23 @@ class TestPrice:
     def test_mc_oracle_parameters(self, capsys):
         code, out, _ = run_cli(
             capsys, "price", "--spot", "100", "--strike", "100",
-            "--rate", "0.05", "--sigma", "0.2", "--term", "1", "--collateral", "10",
+            "--rate", "0.05", "--sigma", "0.2", "--term", "1", "--collateral", "1",
         )
         assert code == 0
         values = parse_price_output(out)
         assert values["call_price"] == pytest.approx(MC_ATM_CALL, rel=0.005)
-        assert values["lambda_star"] == pytest.approx(MC_ATM_CALL / 1000.0, rel=0.005)
+        assert values["lambda_star"] == pytest.approx(MC_ATM_CALL / 100.0, rel=0.005)
+
+    def test_lambda_star_prices_the_printed_call(self, capsys):
+        # The call is on all 10 units, struck at the whole debt of 1000.
+        code, out, _ = run_cli(
+            capsys, "price", "--spot", "100", "--strike", "1000",
+            "--rate", "0.05", "--sigma", "0.2", "--term", "1", "--collateral", "10",
+        )
+        assert code == 0
+        values = parse_price_output(out)
+        assert values["call_price"] == pytest.approx(10 * MC_ATM_CALL, rel=0.005)
+        assert values["lambda_star"] == pytest.approx(values["call_price"] / 1000, rel=1e-9)
 
     @pytest.mark.parametrize(
         "changed, message",
@@ -350,23 +384,23 @@ class TestSimulate:
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     def test_rounding_sites_pinned(self, capsys, tmp_path, monkeypatch):
-        # Ledger arithmetic calls the shared context's methods, and a block
-        # that needs a modified context opens `ledger_context()`. Recording
-        # stand-ins for both note the calling function whenever its
-        # arithmetic sets the Inexact flag: a new rounding site fails here.
+        # Ledger arithmetic calls the shared context's methods, and so does
+        # `quantize` the report grid's. Recording stand-ins for both note
+        # the calling function whenever its arithmetic sets the Inexact
+        # flag: a new rounding site fails here.
         sites = set()
-        ledger = core.LEDGER
 
         def caller_site():
             """module.function of the code that called our caller."""
             frame = sys._getframe(2)
             return f"{frame.f_globals['__name__'].rsplit('.', 1)[-1]}.{frame.f_code.co_name}"
 
-        class RecordingLedger:
-            """The shared context's methods, each run on a copy whose flags
+        class Recording:
+            """A named context's methods, each run on a copy whose flags
             are cleared first."""
 
-            ctx = ledger.copy()
+            def __init__(self, ctx):
+                self.ctx = ctx.copy()
 
             def __getattr__(self, name):
                 method = getattr(self.ctx, name)
@@ -380,20 +414,9 @@ class TestSimulate:
 
                 return call
 
-        @contextmanager
-        def recorded(site):
-            with localcontext(ledger) as ctx:
-                ctx.clear_flags()
-                yield ctx
-                if ctx.flags[Inexact]:
-                    sites.add(site)
-
-        def recording_context():
-            return recorded(caller_site())
-
         for module in (cli, core, market, protocol, sim):
-            monkeypatch.setattr(module, "LEDGER", RecordingLedger())
-        monkeypatch.setattr(core, "ledger_context", recording_context)
+            monkeypatch.setattr(module, "LEDGER", Recording(core.LEDGER))
+        monkeypatch.setattr(core, "REPORT_ROUNDING", Recording(core.REPORT_ROUNDING))
         code, _, _ = run_cli(
             capsys, "simulate", "--config", str(FIXTURES / "config_sweep.json"),
             "--out", str(tmp_path),

@@ -1,14 +1,14 @@
 """Price path CSV round-trip, GBM generation, constant-product AMM."""
 
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miqado._gbm_draws import ndtri, open_uniforms
-from miqado.core import Amount, Price, ledger_context
+from miqado.core import LEDGER, Amount, Price
 from miqado.errors import CsvFormatError, PathRangeError
 from miqado.market import (
     CpAmmPool,
@@ -252,7 +252,7 @@ class TestAmm:
         dy = Decimal("250")
         spot_before = pool.spot
         _, spot_after = amm_swap_base_for_quote(pool, dy)
-        with ledger_context():
+        with localcontext(LEDGER):
             expected_ratio = (y / (y + dy)) ** 2
             assert abs(spot_after / spot_before - expected_ratio) < Decimal("1e-50")
 

@@ -11,13 +11,13 @@ density.
 """
 
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from miqado.core import Amount, BorrowingPosition, Price, ledger_context
+from miqado.core import LEDGER, Amount, BorrowingPosition, Price
 from miqado.errors import InsufficientDataError, UnitMismatchError
 from miqado.market import PricePath
 from miqado.option import (
@@ -123,7 +123,7 @@ class TestBuyerPayoff:
         assume(100 * p0 * Decimal("0.8") < debt)  # health factor below one
         pos, session, _ = takeover_session(debt=debt, collateral="100", lam=lam, p0=p0)
         premium = session.premium_value.value
-        with ledger_context():
+        with localcontext(LEDGER):
             asset = pos.collateral.value * p_t
             expected = asset - debt - premium if asset >= debt else -premium
         payoff = settle_at_maturity(session, pos, Price(p_t), now=HOUR).supporter_payoff
@@ -269,23 +269,28 @@ class TestBsCallPrice:
 class TestOptimalPremiumFactor:
     def test_definitional_identity(self):
         p = Price(Decimal(100))
-        c = Amount.collateral(Decimal(10))
+        c = Amount.collateral(Decimal(1))
         lam = optimal_premium_factor(p, c, 100.0, 0.05, 0.0, 0.2, 1.0)
         price = bs_call_price(BsInputs(100.0, 100.0, 0.05, 0.0, 0.2, 1.0))
-        assert lam * 10.0 * 100.0 == pytest.approx(price, rel=1e-12)
+        assert lam * 1.0 * 100.0 == pytest.approx(price, rel=1e-12)
 
     def test_homogeneity_in_collateral(self):
+        # The call is on the whole collateral and struck at the whole debt,
+        # so λ* does not depend on the unit they are counted in.
         p = Price(Decimal(100))
-        lam1 = optimal_premium_factor(p, Amount.collateral(10), 100.0, 0.05, 0.0, 0.2, 1.0)
-        lam2 = optimal_premium_factor(p, Amount.collateral(20), 100.0, 0.05, 0.0, 0.2, 1.0)
-        assert lam2 == pytest.approx(lam1 / 2, rel=1e-12)
+        lam1 = optimal_premium_factor(p, Amount.collateral(1), 100.0, 0.05, 0.0, 0.2, 1.0)
+        for k in ("0.001", "10", "1000"):
+            lam_k = optimal_premium_factor(
+                p, Amount.collateral(Decimal(k)), 100.0 * float(k), 0.05, 0.0, 0.2, 1.0
+            )
+            assert lam_k == pytest.approx(lam1, rel=1e-12), k
 
     def test_concrete_value_against_mc(self):
-        # lambda* = (MC price of the (100,100,0.05,0,0.2,1) call) / 1000
+        # lambda* = (MC price of the (100,100,0.05,0,0.2,1) call) / 100
         lam = optimal_premium_factor(
-            Price(Decimal(100)), Amount.collateral(10), 100.0, 0.05, 0.0, 0.2, 1.0
+            Price(Decimal(100)), Amount.collateral(1), 100.0, 0.05, 0.0, 0.2, 1.0
         )
-        assert lam == pytest.approx(MC_ATM_CALL / 1000.0, rel=0.005)
+        assert lam == pytest.approx(MC_ATM_CALL / 100.0, rel=0.005)
 
     def test_zero_collateral_rejected(self):
         with pytest.raises(ModelInputError, match="value is zero.*; check spot, collateral$"):

@@ -252,9 +252,9 @@ class TestSettleAtMaturity:
 
 class TestSupporterDecision:
     def test_worthless_option_declined(self):
-        # sigma 0, strike far above the deterministic forward: value 0
-        pos = make_pos("100", "120")  # HF = 0.96, eligible; strike 100 vs spot 1
-        lam_star = supporter_decision(pos, Price(Decimal(1)), HOUR, sigma=0.0)
+        # sigma 0, strike above the deterministic forward: value 0
+        pos = make_pos("100", "120")  # all 120 units are worth 96 at spot 0.8
+        lam_star = supporter_decision(pos, Price(Decimal("0.8")), HOUR, sigma=0.0)
         assert not 0.05 <= lam_star
 
     def test_tie_engages(self):

@@ -647,6 +647,17 @@ class TestSupporterGate:
             "check the trigger price, collateral"
         )
 
+    def test_undefined_call_names_the_collateral(self):
+        # The call's spot is the collateral value 1e-300 · 100, and its
+        # ratio to the strike 1e300 underflows to zero.
+        s = self.gated_scenario(Regime.MIQADO_ONLY)
+        s.events = [LiquidationEvent(position=pos("1e300", "1e-300"), path_offset=0)]
+        with pytest.raises(ScenarioError) as err:
+            run_scenario(s, "0.05", QUARTER)
+        assert str(err.value) == (
+            "event 0: log(spot / strike) is undefined; check the trigger price, debt, collateral"
+        )
+
     def test_ineligible_event_is_never_priced(self):
         # HF 0.96 is below one, but buffer 0.05 closes hybrid's window
         # (CR * (theta + buffer) = 1.02). A priced event would fail here:
@@ -1278,6 +1289,32 @@ class TestMaturityLiquidationPerTerm:
         # The trigger, the three clamped cells and the first unclamped one.
         assert liquidations == 5
 
+    def test_crash_fixture_clamps_on_both_sides_within_a_term(self):
+        # config_crash.json: in 10 (event, term) groups some default cells
+        # clamp at maturity and others do not, so the sweep both reuses
+        # the term's unclamped liquidation and redoes a clamped one. Every
+        # default row releases what its own liquidation would.
+        s = load_config(FIXTURES / "config_crash.json")
+        sweep = run_sweep(s, s.sweep_lambdas, s.sweep_terms_seconds)
+        clamps: dict[tuple[int, int], list[bool]] = {}
+        for lam, term, report in sweep.cells:
+            for row in report.results:
+                if row.outcome_class != "default":
+                    continue
+                ev = s.events[row.event_index]
+                start = s.path[ev.path_offset]
+                maturity = s.path[s.path.index_at_or_after(start.timestamp + term)]
+                topped_up = copy.copy(ev.position)
+                initiate(topped_up, start.price, s.fsl.theta, s.miqado, lam, term, start.timestamp)
+                repay = Amount.debt(LEDGER.multiply(topped_up.debt.value, s.fsl.close_factor))
+                outcome = execute_fsl(topped_up, maturity.price, s.fsl, repay)
+                release = LEDGER.multiply(outcome.collateral_seized.value, maturity.price.value)
+                assert row.release_usd == release
+                clamps.setdefault((row.event_index, term), []).append(outcome.shortfall)
+        assert sum(map(len, clamps.values())) == 484
+        assert sum(map(sum, clamps.values())) == 59
+        assert sum(set(c) == {True, False} for c in clamps.values()) == 10
+
     def test_a_cell_the_liquidation_guard_refuses_fails_as_alone(self):
         # θ = 1 − 1e-100. At λ = 0.5 the position defaults, since the
         # 80-digit C'·p_T = 1.5 + 4e-79 is below D = 1.5 + 4.4e-79, yet
@@ -1338,8 +1375,9 @@ def rescue_cases(draw):
 class TestRescuePriceBound:
     """The borrower rescues at the first point where the topped-up health
     factor reaches the threshold. The engine bisects the path's record
-    highs for that price bound; the boundary must stay `>=`, and on any
-    path the point must be the one a step-by-step replay finds."""
+    highs on the exact comparison C'·p·θ ≥ h·D; the boundary must stay
+    `>=`, and on any path the point must be the one a step-by-step replay
+    finds."""
 
     # Event A topped up by 10%: HF(p) = 143 * p * 0.8 / 100 = 1.144 * p,
     # so at p = 1.25 (index 3) the topped-up HF is exactly 1.43.
@@ -1428,8 +1466,8 @@ class TestRescuePriceBound:
     @pytest.mark.parametrize("steps", [240, 2880])
     @pytest.mark.parametrize("lambdas", [["0.1"], ["0.01", "0.02", "0.05", "0.10", "0.20"]])
     def test_one_health_factor_per_event(self, monkeypatch, steps, lambdas):
-        # The rescue compares prices with one bound per cell, so the sweep
-        # evaluates a health factor only at each event's trigger, however
+        # The rescue compares C'·p·θ with h·D and builds no health factor,
+        # so the sweep evaluates one only at each event's trigger, however
         # long the path and however many premium factors.
         path = generate_gbm(
             GbmParams(p0=Price(Decimal(100)), mu=0.0, sigma=8.0, dt=1 / 525600, steps=steps, seed=7)
@@ -1463,10 +1501,11 @@ _RANK = {"default": 0, "exercise_profit": 1, "exercise_loss": 1, "terminated": 2
 
 @st.composite
 def sweep_scenarios(draw):
-    """A small sweep: 1-6 events on a 240-step hourly GBM path, any regime,
-    the gate, the rescue and a pool each on or off, a buffer, and an
-    unsorted grid. With the gate on, the grid holds the first eligible
-    event's break-even factor of the first term, so a cell sits on the tie."""
+    """A small sweep: 1-6 events of 1, 0.37 or 250 collateral units on a
+    240-step hourly GBM path, any regime, the gate, the rescue and a pool
+    each on or off, a buffer, and an unsorted grid. With the gate on, the
+    grid holds the first eligible event's break-even factor of the first
+    term, so a cell sits on the tie."""
     sigma = draw(st.sampled_from([0.5, 2.0, 8.0]))
     path = generate_gbm(
         GbmParams(
@@ -1479,6 +1518,7 @@ def sweep_scenarios(draw):
     events = synthesize_events(
         path, FSL.theta, count=draw(st.integers(1, 6)), seed=draw(st.integers(0, 2**32)),
         hf_band=draw(st.sampled_from([("0.9", "0.9999"), ("0.5", "0.9999")])),
+        collateral=draw(st.sampled_from([Decimal(1), Decimal("0.37"), Decimal(250)])),
         max_term_seconds=max(terms),
     )
     pool = CpAmmPool(

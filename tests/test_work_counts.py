@@ -26,12 +26,13 @@ GRID_75 = (
 )
 
 #: Most calls a 75-cell grid may cost per call of the 15-cell grid, at 40
-#: events of config_sweep.json. It read 3.88 (Python 3.10, 3.11), 3.93
-#: (3.12) and 3.92 (3.13) once the maturity liquidation became a
-#: per-(event, term) fact, and 4.11 before. One more call per event-cell
-#: raises it by about 0.02. The aim is under 2: per-cell work only λ
-#: arithmetic.
-MAX_CELL_RATIO = 4.0
+#: events of config_sweep.json. It read 3.85 (Python 3.10, 3.11), 3.90
+#: (3.12) and 3.89 (3.13) once each term ran as one loop and the cell
+#: folds built lists, 3.88 to 3.93 before, and 4.11 before the maturity
+#: liquidation became a per-(event, term) fact. One more call per
+#: event-cell raises it by about 0.02. The aim is under 2: per-cell work
+#: only λ arithmetic.
+MAX_CELL_RATIO = 3.95
 #: Most the per-event calls of the second doubling of the events may
 #: exceed the first's: the sorts of the health factors are O(n log n).
 MAX_MARGINAL_DRIFT = 0.02
