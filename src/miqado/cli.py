@@ -463,10 +463,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except MiqadoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MiqadoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -313,7 +313,7 @@ def _dec_or_none(value: Decimal | None) -> str | None:
 
 
 def _sum(values: Iterable[Decimal]) -> Decimal:
-    """The exact sum, which `dec_str` rounds once: `csv_decimal`'s exponent
+    """The exact sum, which the report rounds once: `csv_decimal`'s exponent
     bound keeps its digits few, and a sum that would round raises."""
     return reduce(EXACT.add, values, Decimal(0))
 
@@ -338,21 +338,19 @@ def _payoff_row(
 
     Probabilities are exact fractions of the row size, and the payoff
     spread is the population standard deviation so single-event rows are
-    well defined. Each payoff is a Decimal, so its denominator divides a
-    power of ten, and the lcm L of the cell's denominators is an exact
-    common scale: with x = payoff·L an integer, S = Σx and Q = Σx², the
-    mean is S/(n·L) and the variance (n·Q − S²)/(n·L)², both exact.
+    well defined. The payoffs and their squares are exact `Decimal` sums
+    (`_sum`): with S = Σx and Q = Σx², the mean is S/n and four times the
+    variance 4·(n·Q − S²)/n², both exact.
     """
     n = len(settled)
-    counts = Counter(r.outcome_class for r in settled)
-    ratios = [r.supporter_payoff.as_integer_ratio() for r in settled]
-    scale = math.lcm(*(den for _, den in ratios))
-    scaled = [num * (scale // den) for num, den in ratios]
-    total = sum(scaled)
-    mean = Fraction(total, n * scale)
+    counts = Counter([r.outcome_class for r in settled])
+    payoffs = [r.supporter_payoff for r in settled]
+    total = Fraction(_sum(payoffs))
+    squares = Fraction(_sum([EXACT.multiply(x, x) for x in payoffs]))
+    mean = total / n
     # With t = floor(2·std) on the grid, the std is t/2 or lies strictly between
     # t/2 and the next half-step, and there it rounds as their midpoint does.
-    four_var = Fraction(4 * (n * sum(x * x for x in scaled) - total * total), (n * scale) ** 2)
+    four_var = 4 * (n * squares - total * total) / (n * n)
     t = math.isqrt(math.floor(four_var * 10**36)) / Fraction(10**18)
     std = t / 2 if t * t == four_var else t / 2 + Fraction(1, 4 * 10**18)
     return PayoffRow(
@@ -804,26 +802,25 @@ def outcome_rows_from_report(report: MetricsReport) -> list[OutcomeRow]:
 
 def serialize_outcomes_csv(rows: Sequence[OutcomeRow]) -> str:
     """outcomes.csv text. `dec_str` depends only on a value's number, and
-    equal Decimals hash alike, so each distinct value is rendered once:
-    a session's restraint is its premium, a premium repeats across terms,
-    and a liquidation's release and decline repeat across cells."""
-    rendered: dict[Decimal, str] = {}
-
-    def text(value: Decimal | None) -> str | None:
-        if value is None:
-            return None
-        out = rendered.get(value)
-        if out is None:
-            out = rendered[value] = dec_str(value)
-        return out
-
+    equal Decimals hash alike, so each distinct value is rendered once,
+    into one table that every row's cells look up: a session's restraint
+    is its premium, a premium repeats across terms, and a liquidation's
+    release and decline repeat across cells."""
+    values = {
+        v
+        for r in rows
+        for v in (
+            r.supporter_payoff, r.premium_value, r.release_usd, r.restraint_usd, r.price_decline
+        )
+    }
+    text = {v: None if v is None else dec_str(v) for v in values}
     return write_csv(
         OUTCOMES_CSV_HEADER,
         (
             (
                 r.event_index, r.position_id, r.premium_factor, r.term_seconds, r.outcome_class,
-                text(r.supporter_payoff), text(r.premium_value),
-                text(r.release_usd), text(r.restraint_usd), text(r.price_decline),
+                text[r.supporter_payoff], text[r.premium_value],
+                text[r.release_usd], text[r.restraint_usd], text[r.price_decline],
             )
             for r in rows
         ),
@@ -858,7 +855,7 @@ def load_outcomes_csv(data: bytes | str) -> list[OutcomeRow]:
 def aggregate_outcome_rows(rows: Sequence[OutcomeRow]) -> dict:
     """Recompute release, restraint and the payoff table from outcome rows."""
     return {
-        "collateral_release_usd": dec_str(_sum(r.release_usd for r in rows)),
-        "collateral_restraint_usd": dec_str(_sum(r.restraint_usd for r in rows)),
+        "collateral_release_usd": dec_str(_sum([r.release_usd for r in rows])),
+        "collateral_restraint_usd": dec_str(_sum([r.restraint_usd for r in rows])),
         "payoff_table": [row.to_json_dict() for row in payoff_rows(rows)],
     }

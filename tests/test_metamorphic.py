@@ -12,7 +12,10 @@ that every cell shares:
   class or price decline, gate on or off, since the gate prices the
   whole position;
 * event concatenation: events run independently, since no sale moves the
-  pool or the path, so the rows of E1 ++ E2 are E1's rows, then E2's.
+  pool or the path, so the rows of E1 ++ E2 are E1's rows, then E2's;
+* grid refinement: cells run independently, so a sweep over a sub-grid
+  of the premium factors and terms gives each of its cells the report it
+  has in the full sweep, and the payoff table restricted to its cells.
 """
 
 from dataclasses import replace
@@ -124,4 +127,24 @@ def test_event_concatenation_concatenates_rows(case, data):
     whole = cell_rows(s, lambdas, terms)
     assert whole == [
         a + [replace(r, event_index=r.event_index + k) for r in b] for a, b in zip(first, second)
+    ]
+
+
+@given(case=sweep_scenarios(), data=st.data())
+@settings(max_examples=EXAMPLES, deadline=None)
+def test_grid_refinement_leaves_every_kept_cell(case, data):
+    s, lambdas, terms = case
+    sub_lambdas = data.draw(st.lists(st.sampled_from(lambdas), min_size=1, unique=True))
+    sub_terms = data.draw(st.lists(st.sampled_from(terms), min_size=1, unique=True))
+    full = run_sweep(s, lambdas, terms)
+    sub = run_sweep(s, sub_lambdas, sub_terms)
+    reports = {(lam, term): report for lam, term, report in full.cells}
+    assert len(sub.cells) == len(sub_lambdas) * len(sub_terms)
+    for lam, term, report in sub.cells:
+        assert report.to_json_dict() == reports[lam, term].to_json_dict()
+        assert report.results == reports[lam, term].results
+    assert sub.payoff_rows == [
+        row
+        for row in full.payoff_rows
+        if row.premium_factor in sub_lambdas and row.term_seconds in sub_terms
     ]

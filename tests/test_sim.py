@@ -1078,8 +1078,8 @@ def payoff_cells(draw):
 
 
 class TestPayoffFold:
-    """Each cell's payoff mean and std are exact integer sums at the cell's
-    common decimal scale: the table equals the Fraction fold of
+    """Each cell's payoff mean and std come from exact `Decimal` sums of the
+    payoffs and their squares: the table equals the Fraction fold of
     `statistics`, byte for byte, for every payoff outcomes.csv can hold."""
 
     @given(rows=payoff_cells())

@@ -1,10 +1,10 @@
-"""Work counts of the sweep engine.
+"""Work counts of the sweep engine and of analyze's fold.
 
-The Python calls of a warm `run_sweep`, counted under `sys.setprofile`, are
-exact and the same on every run, so they gate the shape of the engine's
-cost where wall time on a shared host cannot. Only ratios are asserted:
-Python 3.12+ inlines comprehensions, so absolute counts differ by
-interpreter. The bounds only tighten.
+The Python calls of a warm `run_sweep` or `aggregate_outcome_rows`,
+counted under `sys.setprofile`, are exact and the same on every run, so
+they gate the shape of the cost where wall time on a shared host cannot.
+Only ratios are asserted: Python 3.12+ inlines comprehensions, so
+absolute counts differ by interpreter. The bounds only tighten.
 """
 
 import sys
@@ -12,7 +12,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from miqado.cli import load_config
-from miqado.sim import run_sweep
+from miqado.sim import (
+    aggregate_outcome_rows,
+    load_outcomes_csv,
+    run_sweep,
+    serialize_outcomes_csv,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 HOUR = 3600
@@ -26,22 +31,27 @@ GRID_75 = (
 )
 
 #: Most calls a 75-cell grid may cost per call of the 15-cell grid, at 40
-#: events of config_sweep.json. It read 3.85 (Python 3.10, 3.11), 3.90
-#: (3.12) and 3.89 (3.13) once each term ran as one loop and the cell
-#: folds built lists, 3.88 to 3.93 before, and 4.11 before the maturity
+#: events of config_sweep.json. It read 3.81 (Python 3.10, 3.11), 3.85
+#: (3.12) and 3.84 (3.13) once the payoff moments were exact Decimal sums
+#: over lists, 3.85 to 3.90 before, and 4.11 before the maturity
 #: liquidation became a per-(event, term) fact. One more call per
 #: event-cell raises it by about 0.02. The aim is under 2: per-cell work
 #: only λ arithmetic.
-MAX_CELL_RATIO = 3.95
+MAX_CELL_RATIO = 3.89
 #: Most the per-event calls of the second doubling of the events may
 #: exceed the first's: the sorts of the health factors are O(n log n).
 MAX_MARGINAL_DRIFT = 0.02
+#: Most Python calls analyze's fold may add per added outcome row. The fold
+#: builds lists and sums them in C, so its calls are per cell, not per row:
+#: it read 0.0 on Python 3.10 to 3.13, and 5.0 when each row resumed a
+#: generator.
+MAX_FOLD_CALLS_PER_ROW = 0.1
 
 
-def sweep_calls(scenario, grid) -> int:
-    """Python calls of a second `run_sweep`, after a first one filled the
-    path's caches."""
-    run_sweep(scenario, *grid)
+def warm_calls(fn, *args) -> int:
+    """Python calls of a second `fn(*args)`, after a first one filled the
+    caches."""
+    fn(*args)
     calls = 0
 
     def count(frame, event, arg):
@@ -51,10 +61,16 @@ def sweep_calls(scenario, grid) -> int:
 
     sys.setprofile(count)
     try:
-        run_sweep(scenario, *grid)
+        fn(*args)
     finally:
         sys.setprofile(None)
     return calls
+
+
+def sweep_calls(scenario, grid) -> int:
+    """Python calls of a second `run_sweep`, after a first one filled the
+    path's caches."""
+    return warm_calls(run_sweep, scenario, *grid)
 
 
 def config_sweep():
@@ -77,3 +93,16 @@ def test_calls_per_cell_bounded():
     s = replace(base, events=base.events[:40])
     small, large = sweep_calls(s, GRID_15), sweep_calls(s, GRID_75)
     assert large / small <= MAX_CELL_RATIO, (small, large)
+
+
+def test_analyze_fold_calls_are_per_cell():
+    # config_sweep.json's 750 outcome rows, parsed as analyze parses them,
+    # repeated 1, 2 and 4 times: the cells stay the same, so the calls may not
+    # grow with the rows.
+    base = config_sweep()
+    made = [r for _, _, report in run_sweep(base, *GRID_15).cells for r in report.results]
+    rows = load_outcomes_csv(serialize_outcomes_csv(made))
+    one, two, four = (warm_calls(aggregate_outcome_rows, rows * k) for k in (1, 2, 4))
+    n = len(rows)
+    per_row = ((two - one) / n, (four - two) / (2 * n))
+    assert max(per_row) <= MAX_FOLD_CALLS_PER_ROW, (n, one, two, four)
