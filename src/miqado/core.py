@@ -258,6 +258,8 @@ class BorrowingPosition:
             raise UnitMismatchError("position collateral must be a collateral-unit amount")
         if self.debt.value <= 0:
             raise ValueError("open position must have positive debt")
+        if LEDGER.plus(self.debt.value) != self.debt.value:
+            raise ValueError(f"debt {self.debt.value} has more digits than the ledger holds")
         self.borrow_rate = to_decimal(self.borrow_rate)
         if not (0 < self.borrow_rate < 1):
             raise ValueError("borrow_rate must lie in (0, 1)")

@@ -25,6 +25,7 @@ from decimal import Decimal
 from enum import Enum
 
 from .core import (
+    EXACT,
     LEDGER,
     SECONDS_PER_YEAR,
     Amount,
@@ -213,19 +214,20 @@ def settle_at_maturity(
     """Exercise-or-default decision at maturity.
 
     The supporter exercises (full takeover) when the collateral including
-    the top-up is worth at least the outstanding debt: they repay the debt,
-    take all collateral, and the position closes. Otherwise they default:
-    the premium is lost in full and the top-up stays in the position.
+    the top-up is worth at least the outstanding debt, C'·p_T ≥ D exactly:
+    they repay the debt, take all collateral, and the position closes; the
+    payoff C'·p_T − D − premium is ledger arithmetic on the exact C'·p_T.
+    Otherwise they default: the premium is lost in full and the top-up
+    stays in the position, which is then liquidatable, since C'·p_T < D.
     """
     _require_active(session)
     if now < session.maturity:
         raise TooEarlyError(f"maturity is {session.maturity}, cannot settle at {now}")
     strike = pos.debt.value  # outstanding-debt strike rule
-    collateral_value = LEDGER.multiply(pos.collateral.value, p_maturity.value)
+    collateral_value = EXACT.multiply(pos.collateral.value, p_maturity.value)
+    premium = session.premium_value.value
     if collateral_value >= strike:
-        payoff = LEDGER.subtract(
-            LEDGER.subtract(collateral_value, strike), session.premium_value.value
-        )
+        payoff = LEDGER.subtract(LEDGER.subtract(collateral_value, strike), premium)
         receipt = pos.collateral.value
         # Full takeover: supporter repays the debt, takes every collateral
         # unit, and the position closes.
@@ -237,17 +239,16 @@ def settle_at_maturity(
             state=SessionState.EXERCISED,
             supporter_payoff=payoff,
             borrower_cost=Decimal(0),
-            premium_value=session.premium_value.value,
+            premium_value=premium,
             supporter_receipt_collateral=receipt,
         )
-    payoff = LEDGER.minus(session.premium_value.value)
     pos.active_session_id = None
     session.state = SessionState.DEFAULTED
     return SettlementOutcome(
         state=SessionState.DEFAULTED,
-        supporter_payoff=payoff,
+        supporter_payoff=LEDGER.minus(premium),
         borrower_cost=Decimal(0),
-        premium_value=session.premium_value.value,
+        premium_value=premium,
         supporter_receipt_collateral=Decimal(0),
     )
 

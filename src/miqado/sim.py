@@ -172,7 +172,7 @@ _MEAN_SCALE = 10**100
 
 @dataclass(frozen=True)
 class DistSummary:
-    """Order statistics of a sample; infinities counted separately."""
+    """Order statistics of a sample, infinities counted separately, and its healthy share."""
 
     count: int
     infinite_count: int
@@ -182,10 +182,13 @@ class DistSummary:
     p50: Decimal | None
     p75: Decimal | None
     maximum: Decimal | None
+    healthy_share: Decimal
 
     @classmethod
     def from_values(cls, values: Sequence[Fraction | float]) -> "DistSummary":
-        """Summarize exact values; float infinities are only counted.
+        """Summarize exact values; float infinities are only counted. The
+        healthy share is that of values at or above one, +inf included: one
+        bisection for 1 in the sorted finite values, zero if there are none.
 
         The mean is the exact mean rounded to the report grid, but it is
         not summed as Fractions: their denominators differ, so the running
@@ -199,8 +202,10 @@ class DistSummary:
         """
         finite = sorted([v for v in values if not (isinstance(v, float) and math.isinf(v))])
         inf_count = len(values) - len(finite)
+        healthy = len(values) - bisect_left(finite, 1)
+        share = _fraction_to_decimal(Fraction(healthy, len(values) or 1))
         if not finite:
-            return cls(len(values), inf_count, None, None, None, None, None, None)
+            return cls(len(values), inf_count, None, None, None, None, None, None, share)
 
         n = len(finite)
 
@@ -223,6 +228,7 @@ class DistSummary:
             p50=_fraction_to_decimal(_rank(Fraction(1, 2))),
             p75=_fraction_to_decimal(_rank(Fraction(3, 4))),
             maximum=_fraction_to_decimal(finite[-1]),
+            healthy_share=share,
         )
 
     def to_json_dict(self) -> dict:
@@ -431,15 +437,9 @@ def _trigger(
     return hf_pre, hf_fsl, _liquidate(copy.copy(ev.position), p0, s)[1]
 
 
-def _healthy_share(values: Sequence[Fraction | float]) -> Decimal:
-    """The share of health factors at or above one; zero when empty."""
-    healthy = len([v for v in values if v >= 1])
-    return _fraction_to_decimal(Fraction(healthy, len(values)) if values else Fraction(0))
-
-
 def _cell_report(
     results: list[OutcomeRow],
-    topped_up: tuple[DistSummary, Decimal],
+    topped_up: DistSummary,
     common: dict,
     payoff_row: PayoffRow | None,
 ) -> MetricsReport:
@@ -447,9 +447,8 @@ def _cell_report(
     report fields that no cell changes: the regime, the health factors at
     the trigger and after a maximal liquidation there, and the release if
     every event were liquidated at its trigger. `topped_up` is the premium
-    factor's (1+λ)·HF summary and healthy share. `payoff_row` is the
-    cell's own row of the sweep's payoff table, None if no event settled
-    at maturity there."""
+    factor's (1+λ)·HF summary. `payoff_row` is the cell's own row of the
+    sweep's payoff table, None if no event settled at maturity there."""
     release = _sum([r.release_usd for r in results])
     baseline = Fraction(common["fsl_baseline_release_usd"])
     reduction = _fraction_to_decimal(1 - Fraction(release) / baseline) if baseline else None
@@ -460,8 +459,8 @@ def _cell_report(
         collateral_release_usd=release,
         collateral_restraint_usd=_sum([r.restraint_usd for r in results]),
         release_reduction=reduction,
-        hf_post_miqado=topped_up[0],
-        healthy_fraction_miqado=topped_up[1],
+        hf_post_miqado=topped_up,
+        healthy_fraction_miqado=topped_up.healthy_share,
         payoff_rows=[] if payoff_row is None else [payoff_row],
         price_declines=[r.price_decline for r in results if r.price_decline is not None],
         results=results,
@@ -515,12 +514,13 @@ def _run_term(
     comparison. Otherwise the session settles at maturity.
 
     A default in the hybrid regime liquidates (D, C') at the maturity price
-    p_T. Its seizure close_factor·D·(1+spread)/p_T does not depend on λ, so
-    neither does what it releases, unless the seizure clamps to C'. So the
-    loop keeps the first unclamped maturity liquidation of the term, and a
-    later default cell reuses it iff that seizure is at most its own C' and
-    its position is liquidatable at p_T; any other cell liquidates its own.
-    This holds for λ in any order."""
+    p_T; it is always liquidatable, since it defaulted on the exact
+    C'·p_T < D. Its seizure close_factor·D·(1+spread)/p_T does not depend
+    on λ, so neither does what it releases, unless the seizure clamps to
+    C'. So the loop keeps the first unclamped maturity liquidation of the
+    term, and a later default cell reuses it iff that seizure is at most
+    its own C'; any other cell liquidates its own. This holds for λ in any
+    order."""
     point = s.path[ev.path_offset]
     p0, t0 = point.price, point.timestamp
     theta = s.fsl.theta
@@ -561,11 +561,7 @@ def _run_term(
             continue
         released = _NOTHING_RELEASED
         if s.regime is Regime.HYBRID:
-            if (
-                at_maturity is not None
-                and at_maturity[0] <= pos.collateral.value
-                and is_liquidatable(pos, maturity.price, theta)
-            ):
+            if at_maturity is not None and at_maturity[0] <= pos.collateral.value:
                 released = at_maturity[1]
             else:
                 liquidation, released = _liquidate(pos, maturity.price, s)
@@ -671,18 +667,17 @@ def run_sweep(
         hf_post_fsl.append(hf_fsl)
         released.append(liquidation[0])
     hf_pre.sort()  # every λ > 0, so each (1+λ)·HF keeps this order
-    topped_up: dict[Decimal, tuple[DistSummary, Decimal]] = {}
+    topped_up: dict[Decimal, DistSummary] = {}
     for lam in lambdas:
         factor = 1 + Fraction(lam)
-        scaled = [hf * factor for hf in hf_pre]
-        topped_up[lam] = DistSummary.from_values(scaled), _healthy_share(scaled)
-
+        topped_up[lam] = DistSummary.from_values([hf * factor for hf in hf_pre])
+    post_fsl = DistSummary.from_values(hf_post_fsl)
     common = dict(
         regime=s.regime,
         fsl_baseline_release_usd=_sum(released),
         hf_pre=DistSummary.from_values(hf_pre),
-        hf_post_fsl=DistSummary.from_values(hf_post_fsl),
-        healthy_fraction_fsl=_healthy_share(hf_post_fsl),
+        hf_post_fsl=post_fsl,
+        healthy_fraction_fsl=post_fsl.healthy_share,
     )
     table = payoff_rows(rows)
     by_cell = {(row.premium_factor, row.term_seconds): row for row in table}

@@ -495,6 +495,25 @@ class TestSimulate:
         assert err == "error: event 0: volatility must be >= 0; check sigma_override\n"
         assert not (tmp_path / "report.json").exists()
 
+    def test_debt_beyond_the_ledger_precision_names_line(self, capsys, tmp_path):
+        # An 82-digit debt would round up in the ledger's 80 digits, and a
+        # full close would then repay more than the debt.
+        config = json.loads((FIXTURES / "config_hand.json").read_text())
+        config["regime"] = "fsl_only"
+        config["fsl"]["close_factor"] = "1"
+        (tmp_path / "path_hand.csv").write_text("timestamp,price\n0,2\n3600,2\n")
+        (tmp_path / "events_hand.csv").write_text(
+            f"{sim.EVENTS_CSV_HEADER}\nb1,1.{'9' * 80}7,1.2,0.05,0\n"
+        )
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        code, _, err = run_cli(
+            capsys, "simulate", "--config", str(tmp_path / "config.json"),
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert "line 2" in err and "debt" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_missing_config_names_path(self, capsys, tmp_path):
         missing = tmp_path / "nope.json"
         code, _, err = run_cli(capsys, "simulate", "--config", str(missing), "--out", str(tmp_path))
@@ -803,6 +822,7 @@ class TestAnalyze:
             ),
             pytest.param("events.csv", "path_offset", "9" * 400, id="path_offset=400-digits"),
             pytest.param("events.csv", "path_offset", "-1", id="path_offset=-1"),
+            pytest.param("events.csv", "debt", "1." + "9" * 80 + "7", id="debt=82-digits"),
             pytest.param("path_hand.csv", "timestamp", "9" * 400, id="timestamp=400-digits"),
             pytest.param("outcomes.csv", "position_id", b"\xff", id="outcomes.csv=0xff"),
             pytest.param("events.csv", "position_id", b"\xff", id="events.csv=0xff"),

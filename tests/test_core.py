@@ -367,6 +367,12 @@ class TestAmountAndPrice:
             make_pos(debt="0")
         with pytest.raises(ValueError):
             make_pos(rate="1.5")
+        # 82 digits would round to 2 in the ledger, above the debt itself;
+        # 80 digits, or more whose tail is zeros, are held exactly.
+        with pytest.raises(ValueError, match="more digits than the ledger holds"):
+            make_pos(debt="1." + "9" * 80 + "7")
+        assert make_pos(debt="1." + "9" * 79).debt.value == Decimal("1." + "9" * 79)
+        assert make_pos(debt="1.5" + "0" * 100).debt.value == Decimal("1.5")
 
 
 class TestQuantize:

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from miqado.core import Amount, BorrowingPosition, Price, health_factor
+from miqado.core import (
+    EXACT,
+    LEDGER,
+    Amount,
+    BorrowingPosition,
+    Price,
+    health_factor,
+    is_liquidatable,
+)
 from miqado.errors import (
     ActiveSessionError,
     NotEligibleError,
@@ -18,6 +26,7 @@ from miqado.errors import (
 )
 from miqado.protocol import (
     MiqadoParams,
+    MiqadoSession,
     SessionState,
     can_initiate,
     initiate,
@@ -41,6 +50,31 @@ def make_pos(debt="100", collateral="100", rate="0.05", pid="b1"):
 
 def params(k_re="0.5", **kw):
     return MiqadoParams(k_re=Decimal(k_re), **kw)
+
+
+#: 80 digits, the ledger's precision, at orders of magnitude within ±1000:
+#: the product of two has up to 160, so its 80-digit rounding is seen.
+ledger_decimals = st.builds(
+    lambda digits, adjusted: Decimal(f"{digits}E{adjusted - 79}"),
+    st.integers(min_value=10**79, max_value=10**80 - 1),
+    st.integers(-1000, 1000),
+)
+
+
+@st.composite
+def maturity_cases(draw):
+    """Topped-up collateral, a maturity price and a debt. The debt is drawn
+    on its own, or within one unit in the 80th digit of C'·p, where the
+    exercise decision turns."""
+    collateral = draw(st.one_of(st.just(Decimal(0)), ledger_decimals))
+    price = draw(ledger_decimals)
+    boundary = LEDGER.plus(EXACT.multiply(collateral, price))
+    if boundary and draw(st.booleans()):
+        neighbours = [LEDGER.next_minus(boundary), boundary, LEDGER.next_plus(boundary)]
+        debt = draw(st.sampled_from(neighbours))
+    else:
+        debt = draw(ledger_decimals)
+    return collateral, price, debt
 
 
 class TestCanInitiate:
@@ -248,6 +282,23 @@ class TestSettleAtMaturity:
             outcomes.append(out.state)
         if outcomes[0] is SessionState.EXERCISED:
             assert outcomes[1] is SessionState.EXERCISED
+
+    @given(case=maturity_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_exercises_iff_the_exact_collateral_value_covers_the_debt(self, case):
+        # The decision is C'·p ≥ D on the unrounded product, so a default
+        # has C'·p < D and its position is liquidatable at every θ < 1.
+        collateral, price, debt = case
+        pos = make_pos(debt, collateral)
+        session = MiqadoSession(
+            id="b1@0", position_id="b1", topup=Amount.collateral(0),
+            premium_value=Amount.debt(1), borrow_rate=Decimal("0.05"), started=0, maturity=HOUR,
+        )
+        covered = Fraction(collateral) * Fraction(price) >= Fraction(debt)
+        out = settle_at_maturity(session, pos, Price(price), now=HOUR)
+        assert (out.state is SessionState.EXERCISED) == covered
+        if not covered:
+            assert is_liquidatable(pos, Price(price), Decimal("0." + "9" * 100))
 
 
 class TestSupporterDecision:

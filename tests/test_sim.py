@@ -1315,26 +1315,25 @@ class TestMaturityLiquidationPerTerm:
         assert sum(map(sum, clamps.values())) == 59
         assert sum(set(c) == {True, False} for c in clamps.values()) == 10
 
-    def test_a_cell_the_liquidation_guard_refuses_fails_as_alone(self):
-        # θ = 1 − 1e-100. At λ = 0.5 the position defaults, since the
-        # 80-digit C'·p_T = 1.5 + 4e-79 is below D = 1.5 + 4.4e-79, yet
-        # the exact C'·p_T·θ ≈ 1.5 + 4.5e-79 is not below D: that cell's
-        # liquidation finds the position healthy, even after the λ = 0.4
-        # cell liquidated unclamped.
+    def test_exercise_compares_the_exact_collateral_value(self):
+        # p_T = 1 − 1e-85 and D = 1.5. At λ = 0.5 the exact C'·p_T = 1.5·p_T
+        # is below D, though it reads 1.5 at the ledger's 80 digits, so the
+        # supporter defaults. The default liquidates unclamped: it repays
+        # 0.5·1.5 and seizes 0.75·1.5/p_T, 1.125 at 80 digits, worth 1.125.
+        # The λ = 0.4 cell liquidated first, so the sweep reuses that.
         s = replace(
             self.scenario(),
-            events=[LiquidationEvent(position=pos("1.5" + "0" * 77 + "44", "1"), path_offset=0)],
-            path=PricePath.from_pairs([(0, "1"), (HOUR, "1." + "0" * 78 + "3")]),
-            fsl=FslParams(
-                theta=Decimal("0." + "9" * 100), close_factor=Decimal("0.5"), spread=Decimal("0.05")
-            ),
+            events=[LiquidationEvent(position=pos("1.5", "1"), path_offset=0)],
+            path=PricePath.from_pairs([(0, "1"), (HOUR, "0." + "9" * 85)]),
         )
-        assert run_scenario(s, "0.4", HOUR).class_counts == {"default": 1}
-        with pytest.raises(ScenarioError) as alone:
-            run_scenario(s, "0.5", HOUR)
-        with pytest.raises(ScenarioError) as swept:
-            run_sweep(s, ["0.4", "0.5"], [HOUR])
-        assert str(swept.value) == str(alone.value) == "event 0: position b1 is healthy"
+        alone = run_scenario(s, "0.5", HOUR)
+        (row,) = alone.results
+        assert (row.outcome_class, row.release_usd) == ("default", Decimal("1.125"))
+        sweep = run_sweep(s, ["0.4", "0.5", "0.6"], [HOUR])
+        classes = [report.class_counts for _, _, report in sweep.cells]
+        assert classes == [{"default": 1}, {"default": 1}, {"exercise_loss": 1}]
+        assert sweep.cells[1][2].results == alone.results
+        assert sweep.cells[1][2].to_json_dict() == alone.to_json_dict()
 
 
 @st.composite

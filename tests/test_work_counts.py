@@ -31,9 +31,12 @@ GRID_75 = (
 )
 
 #: Most calls a 75-cell grid may cost per call of the 15-cell grid, at 40
-#: events of config_sweep.json. It read 3.81 (Python 3.10, 3.11), 3.85
-#: (3.12) and 3.84 (3.13) once the payoff moments were exact Decimal sums
-#: over lists, 3.85 to 3.90 before, and 4.11 before the maturity
+#: events of config_sweep.json. It read 3.82 (Python 3.10, 3.11), 3.86
+#: (3.12) and 3.85 (3.13) once the maturity liquidation's reuse lost its
+#: health test and the healthy share came from each summary's sort: the
+#: 15-cell grid's fixed work shrank more than the 75-cell grid's. It read
+#: 3.81 to 3.85 once the payoff moments were exact Decimal sums over
+#: lists, 3.85 to 3.90 before, and 4.11 before the maturity
 #: liquidation became a per-(event, term) fact. One more call per
 #: event-cell raises it by about 0.02. The aim is under 2: per-cell work
 #: only λ arithmetic.
